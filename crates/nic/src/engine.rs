@@ -31,11 +31,11 @@ use cord_sim::{FifoResource, Sim, SimDuration, SimTime, Subsystem, Trace, TraceK
 
 use crate::cc::{CcAlgorithm, Dcqcn, CNP_MIN_INTERVAL};
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
-use crate::mr::{MrError, MrTable};
+use crate::mr::{Mr, MrTable};
 use crate::packet::{NakReason, Packet, PacketKind};
 use crate::qp::{
-    PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxMode, RetxState, RxSeq,
-    SrAction, SrKind, TxProgress,
+    Feedback, PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxMode,
+    RetxState, RxAction, RxKind, RxWindow, TxProgress,
 };
 use crate::types::{CqId, NodeId, Opcode, QpNum, QpState, Transport, VerbsError};
 use crate::wqe::{RecvWqe, SendWqe};
@@ -248,13 +248,15 @@ impl Nic {
         Ok(self.qp(qpn)?.borrow().cc())
     }
 
-    /// Arm (or disarm, with `None`) RC retransmission on a QP: a go-back-N
-    /// unacked window with a per-QP retransmit timer on the sender side,
-    /// and in-order sequence tracking with coalesced sequence NAKs on the
-    /// receiver side. Like the DCQCN knob it must be set symmetrically on
-    /// both ends of a connection before traffic flows, and like DCQCN it
-    /// is accepted but inert on UD QPs (datagrams have no ACK protocol to
-    /// retransmit from).
+    /// Arm (or disarm, with `None`) RC retransmission on a QP: an unacked
+    /// window with per-QP retransmit and RNR timers on the sender side,
+    /// and on the receiver side a receive window whose acceptance policy
+    /// follows `cfg.mode` — in order with coalesced sequence NAKs
+    /// (go-back-N), or out of order with SACKs (selective repeat). Like
+    /// the DCQCN knob it must be set symmetrically on both ends of a
+    /// connection before traffic flows, and like DCQCN it is accepted but
+    /// inert on UD QPs (datagrams have no ACK protocol to retransmit
+    /// from).
     pub fn set_rc_retx(&self, qpn: QpNum, cfg: Option<RetxConfig>) -> Result<(), VerbsError> {
         let qp = self.qp(qpn)?;
         let mut qp = qp.borrow_mut();
@@ -264,13 +266,11 @@ impl Nic {
         // Arming after traffic has flowed cannot work: pre-arm messages
         // are outside the window and the fresh receiver sequence state
         // misaligns with the peer's message ids — a silent deadlock.
-        // Reject it like any out-of-order `ibv_modify_qp`.
-        if cfg.is_some()
-            && (qp.next_msg_id > 1
-                || qp.rx_msgs > 0
-                || qp.tx.is_some()
-                || qp.cur_recv.is_some()
-                || !qp.sr_recv.is_empty())
+        // Reject it like any out-of-order `ibv_modify_qp`. Any change
+        // mid-message would also orphan the open reassemblies' receive
+        // WQEs, since it starts a fresh receive window.
+        if qp.rx.has_open()
+            || (cfg.is_some() && (qp.next_msg_id > 1 || qp.rx_msgs > 0 || qp.tx.is_some()))
         {
             return Err(VerbsError::InvalidState {
                 expected: "no prior traffic (arm retransmission at connect)",
@@ -282,6 +282,7 @@ impl Nic {
                 self.inner.sim.cancel_scheduled(h);
             }
         }
+        qp.rx = RxWindow::new(cfg.map(|c| c.mode));
         qp.retx = cfg.map(RetxState::new);
         Ok(())
     }
@@ -555,15 +556,9 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
             );
         }
     }
-    // A receive WQE bound to a half-assembled inbound message was popped
-    // from the RQ; flush it like the rest of the RQ.
-    if let Some(asm) = qp.cur_recv.take() {
-        push_cqe(&qp.recv_cq, flush_cqe(qp, asm.wqe.wr_id, CqeOpcode::Recv));
-    }
-    // Selective repeat holds several open reassemblies at once, each with
-    // a popped receive WQE; flush them in message order (BTreeMap).
-    let sr_asms = std::mem::take(&mut qp.sr_recv);
-    for (_, asm) in sr_asms {
+    // Receive WQEs bound to half-assembled inbound messages were popped
+    // from the RQ; flush them (in message order) like the rest of the RQ.
+    for asm in qp.rx.drain_open() {
         push_cqe(&qp.recv_cq, flush_cqe(qp, asm.wqe.wr_id, CqeOpcode::Recv));
     }
     let (sq, rq) = qp.enter_error();
@@ -1439,13 +1434,6 @@ fn sack(inner: &Rc<NicInner>, hdr: PktHdr, msg_id: u64, received: u64) {
     );
 }
 
-/// Whether the QP's armed retransmission discipline is selective repeat.
-fn sr_mode(qp: &Qp) -> bool {
-    qp.retx
-        .as_ref()
-        .is_some_and(|rx| rx.cfg.mode == RetxMode::Sr)
-}
-
 /// Echo a congestion notification for an ECN-marked arrival, if the
 /// receiving QP participates in DCQCN and its per-QP CNP budget allows.
 fn maybe_echo_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, pkt: &Packet) {
@@ -1548,26 +1536,6 @@ fn handle_packet(inner: &Rc<NicInner>, pkt: Packet) {
     }
 }
 
-/// Receiver-side go-back-N gate for request packets. A no-op
-/// ([`RxSeq::Accept`]) unless retransmission is armed on the QP; emits the
-/// coalesced sequence NAK (naming the first missing message) when the
-/// check reports a fresh gap.
-fn rx_gate(
-    inner: &Rc<NicInner>,
-    qp_rc: &Rc<RefCell<Qp>>,
-    hdr: PktHdr,
-    msg_id: u64,
-    frag: u32,
-    last: bool,
-) -> RxSeq {
-    let decision = qp_rc.borrow_mut().rx_seq_check(msg_id, frag, last);
-    if let RxSeq::Drop { nak: true } = decision {
-        let missing = qp_rc.borrow().rx_expected_msg();
-        nak(inner, hdr, missing, NakReason::Sequence);
-    }
-    decision
-}
-
 fn handle_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) {
     let now = inner.sim.now();
     let mut qp = qp_rc.borrow_mut();
@@ -1587,6 +1555,97 @@ fn handle_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) {
     }
 }
 
+/// Offer a request fragment to the QP's receive window and emit the gap
+/// feedback (sequence NAK or SACK) its verdict carries.
+#[allow(clippy::too_many_arguments)]
+fn rx_offer(
+    inner: &Rc<NicInner>,
+    qp_rc: &Rc<RefCell<Qp>>,
+    hdr: PktHdr,
+    msg_id: u64,
+    frag: u32,
+    nfrags: u32,
+    kind: RxKind,
+    total_len: usize,
+) -> RxAction {
+    let v = {
+        let qp = &mut *qp_rc.borrow_mut();
+        qp.rx
+            .on_frag(msg_id, frag, nfrags, kind, total_len, &mut qp.rq)
+    };
+    match v.feedback {
+        Some(Feedback::Nak(missing)) => nak(inner, hdr, missing, NakReason::Sequence),
+        Some(Feedback::Sack { msg_id, received }) => sack(inner, hdr, msg_id, received),
+        None => {}
+    }
+    v.action
+}
+
+/// Error completion for a receive WQE that cannot host its message.
+fn reject_recv(qp: &Qp, rwqe: &RecvWqe) {
+    push_cqe(
+        &qp.recv_cq,
+        Cqe {
+            wr_id: rwqe.wr_id,
+            status: CqeStatus::LocalProtErr,
+            opcode: CqeOpcode::Recv,
+            byte_len: 0,
+            qp: qp.num,
+            imm: None,
+            src_qp: None,
+            src_node: None,
+        },
+    );
+}
+
+/// Bind receive WQEs, in message order, to the sends the window offers.
+/// `arr` is the arriving fragment that triggered the attempt: RNR NAKs
+/// fire only when fragment 0 of the stalled message itself arrives,
+/// bounding NAK traffic to one per replay round.
+fn bind_recv(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, hdr: PktHdr, arr: (u64, u32)) {
+    let is_rc = qp_rc.borrow().transport == Transport::Rc;
+    let rnr = |m: u64| {
+        if is_rc && arr == (m, 0) {
+            qp_rc.borrow_mut().rx.rnr(m);
+            nak(inner, hdr, m, NakReason::Rnr);
+        }
+    };
+    loop {
+        let Some((m, total_len)) = qp_rc.borrow_mut().rx.next_bind() else {
+            return;
+        };
+        let popped = qp_rc.borrow_mut().rq.pop_front();
+        let Some(rwqe) = popped else {
+            return rnr(m); // UD silently drops
+        };
+        if total_len > rwqe.sge.len {
+            {
+                let mut qp = qp_rc.borrow_mut();
+                reject_recv(&qp, &rwqe);
+                qp.rx.poison(m, 1, RxKind::Send);
+            }
+            if is_rc {
+                nak(inner, hdr, m, NakReason::LengthError);
+            }
+            continue;
+        }
+        let Ok(mr) = inner
+            .mrs
+            .check_local(rwqe.sge.lkey, rwqe.sge.addr, rwqe.sge.len, true)
+        else {
+            // The WQE is consumed and errored; the message stays unbound
+            // so the post-backoff replay binds the next one.
+            reject_recv(&qp_rc.borrow(), &rwqe);
+            return rnr(m);
+        };
+        qp_rc.borrow_mut().rx.bind(RecvAssembly {
+            msg_id: m,
+            wqe: rwqe,
+            mem: mr.mem,
+        });
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn handle_send_frag(
     inner: &Rc<NicInner>,
@@ -1600,119 +1659,46 @@ fn handle_send_frag(
     payload: PayloadSeg,
     imm: Option<u32>,
 ) {
-    let transport = qp_rc.borrow().transport;
-    if sr_mode(&qp_rc.borrow()) {
-        return sr_handle_send_frag(
-            inner, qp_rc, hdr, msg_id, frag, nfrags, total_len, offset, payload, imm,
-        );
-    }
-    // Lossless-recovery gate: out-of-order arrivals on a retransmitting QP
-    // are dropped (and NAKed once per gap) instead of being reassembled.
-    match rx_gate(inner, qp_rc, hdr, msg_id, frag, frag + 1 == nfrags) {
-        RxSeq::Accept => {}
-        RxSeq::Drop { .. } => return,
-        RxSeq::DupAck => {
-            // The whole message already completed; its ACK was lost.
-            ack(inner, hdr, msg_id);
-            return;
-        }
-    }
-    if frag == 0 {
-        // Start of a message: bind a receive WQE.
-        let popped = qp_rc.borrow_mut().rq.pop_front();
-        let Some(rwqe) = popped else {
-            if transport == Transport::Rc {
-                // The in-order gate above already advanced past `msg_id`;
-                // rewind so the post-backoff replay is accepted from
-                // fragment 0 instead of being classified as a duplicate.
-                qp_rc.borrow_mut().rx_rnr_rewind(msg_id);
-                nak(inner, hdr, msg_id, NakReason::Rnr);
-            }
-            return; // UD silently drops
-        };
-        if total_len > rwqe.sge.len {
-            push_cqe(
-                &qp_rc.borrow().recv_cq,
-                Cqe {
-                    wr_id: rwqe.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: CqeOpcode::Recv,
-                    byte_len: 0,
-                    qp: qp_rc.borrow().num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
-            if transport == Transport::Rc {
-                nak(inner, hdr, msg_id, NakReason::LengthError);
-            }
-            return;
-        }
-        let mr = match inner
-            .mrs
-            .check_local(rwqe.sge.lkey, rwqe.sge.addr, rwqe.sge.len, true)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                push_cqe(
-                    &qp_rc.borrow().recv_cq,
-                    Cqe {
-                        wr_id: rwqe.wr_id,
-                        status: CqeStatus::LocalProtErr,
-                        opcode: CqeOpcode::Recv,
-                        byte_len: 0,
-                        qp: qp_rc.borrow().num,
-                        imm: None,
-                        src_qp: None,
-                        src_node: None,
-                    },
-                );
-                if transport == Transport::Rc {
-                    qp_rc.borrow_mut().rx_rnr_rewind(msg_id);
-                    nak(inner, hdr, msg_id, NakReason::Rnr);
-                }
-                return;
-            }
-        };
-        qp_rc.borrow_mut().cur_recv = Some(RecvAssembly {
+    let offer = || {
+        rx_offer(
+            inner,
+            qp_rc,
+            hdr,
             msg_id,
-            wqe: rwqe,
-            received: 0,
+            frag,
+            nfrags,
+            RxKind::Send,
             total_len,
-            mem: mr.mem,
-        });
-    }
-
-    let last = frag + 1 == nfrags;
-    let (dst_addr, mem, rwr_id) = {
-        let mut qp = qp_rc.borrow_mut();
-        let Some(asm) = &mut qp.cur_recv else { return };
-        if asm.msg_id != msg_id {
-            return; // stale fragment of an aborted message
-        }
-        asm.received += payload.len();
-        let out = (
-            asm.wqe.sge.addr + offset as u64,
-            asm.mem.clone(),
-            asm.wqe.wr_id,
-        );
-        // RC delivers in order: once the last fragment has *arrived* the
-        // slot can host the next message, even though this message's DMA
-        // completion (and CQE) is still in flight.
-        if last {
-            qp.cur_recv = None;
-        }
-        out
+        )
     };
-
+    let mut action = offer();
+    if action == RxAction::Unbound {
+        // This fragment classified its message: bind what the window
+        // allows, then offer the fragment again.
+        bind_recv(inner, qp_rc, hdr, (msg_id, frag));
+        action = offer();
+    }
+    let completes = match action {
+        RxAction::Install { completes } => completes,
+        RxAction::Discard { reack } => {
+            if reack {
+                ack(inner, hdr, msg_id);
+            }
+            return;
+        }
+        RxAction::Unbound => return,
+    };
+    let Some((base, mem, rwr_id)) = qp_rc.borrow_mut().rx.landing(msg_id, completes) else {
+        return; // reassembly flushed while the fragment was in flight
+    };
+    let dst_addr = base + offset as u64;
     let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
     let inner2 = Rc::clone(inner);
     let qp2 = Rc::clone(qp_rc);
     inner.sim.schedule_at(dma_done, move |_| {
         mem.install(dst_addr, &payload)
             .expect("validated landing zone");
-        if last {
+        if completes {
             let mut qp = qp2.borrow_mut();
             qp.rx_msgs += 1;
             qp.rx_bytes += total_len as u64;
@@ -1741,330 +1727,6 @@ fn handle_send_frag(
     });
 }
 
-/// ===================== Selective-repeat RX =====================
-///
-/// Fragments install out of order through the idempotent
-/// `GuestMem::install` patch path; each message ACKs individually on
-/// completion so the sender's window drains selectively, and a SACK (one
-/// per gap episode) tells the sender exactly which fragments of the first
-/// missing message to replay. Sends still bind receive WQEs in strict
-/// message order — [`SrRxWindow`](crate::qp::SrRxWindow)'s binding floor —
-/// so WQE↔message pairing is identical to go-back-N delivery.
-/// Bind receive WQEs for sends at the selective-repeat binding floor.
-/// `(arr_msg, arr_frag)` identify the arriving fragment that triggered
-/// the attempt: RNR NAKs fire only when fragment 0 of the stalled message
-/// itself arrives, bounding NAK traffic to one per replay round (the
-/// go-back-N discipline).
-fn sr_bind_ready(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, hdr: PktHdr, arr: (u64, u32)) {
-    loop {
-        let (m, total_len) = {
-            let mut qp = qp_rc.borrow_mut();
-            let Some(rx) = qp.retx.as_mut() else { return };
-            match rx.sr.next_bind() {
-                Some(m) => (m, rx.sr.total_len(m)),
-                None => return,
-            }
-        };
-        let popped = qp_rc.borrow_mut().rq.pop_front();
-        let Some(rwqe) = popped else {
-            if arr == (m, 0) {
-                nak(inner, hdr, m, NakReason::Rnr);
-            }
-            return;
-        };
-        if total_len > rwqe.sge.len {
-            let mut qp = qp_rc.borrow_mut();
-            push_cqe(
-                &qp.recv_cq,
-                Cqe {
-                    wr_id: rwqe.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: CqeOpcode::Recv,
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
-            if let Some(rx) = qp.retx.as_mut() {
-                // Entry exists (the floor pointed at it); nfrags/kind are
-                // only used when creating a missing one.
-                rx.sr.poison(m, 1, SrKind::Send);
-            }
-            drop(qp);
-            nak(inner, hdr, m, NakReason::LengthError);
-            continue;
-        }
-        let mr = match inner
-            .mrs
-            .check_local(rwqe.sge.lkey, rwqe.sge.addr, rwqe.sge.len, true)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                let qp = qp_rc.borrow_mut();
-                push_cqe(
-                    &qp.recv_cq,
-                    Cqe {
-                        wr_id: rwqe.wr_id,
-                        status: CqeStatus::LocalProtErr,
-                        opcode: CqeOpcode::Recv,
-                        byte_len: 0,
-                        qp: qp.num,
-                        imm: None,
-                        src_qp: None,
-                        src_node: None,
-                    },
-                );
-                drop(qp);
-                // The WQE is consumed and errored; the message stays
-                // unbound so the post-backoff replay binds the next one.
-                if arr == (m, 0) {
-                    nak(inner, hdr, m, NakReason::Rnr);
-                }
-                return;
-            }
-        };
-        let mut qp = qp_rc.borrow_mut();
-        qp.sr_recv.insert(
-            m,
-            RecvAssembly {
-                msg_id: m,
-                wqe: rwqe,
-                received: 0,
-                total_len,
-                mem: mr.mem,
-            },
-        );
-        if let Some(rx) = qp.retx.as_mut() {
-            rx.sr.bound(m);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sr_handle_send_frag(
-    inner: &Rc<NicInner>,
-    qp_rc: &Rc<RefCell<Qp>>,
-    hdr: PktHdr,
-    msg_id: u64,
-    frag: u32,
-    nfrags: u32,
-    total_len: usize,
-    offset: usize,
-    payload: PayloadSeg,
-    imm: Option<u32>,
-) {
-    let on_frag = || {
-        let mut qp = qp_rc.borrow_mut();
-        let rx = qp.retx.as_mut().expect("SR mode implies armed");
-        let d = rx.sr.on_frag(msg_id, frag, nfrags, SrKind::Send);
-        rx.sr.note_total_len(msg_id, total_len);
-        d
-    };
-    let mut d = on_frag();
-    if let Some((m, bits)) = d.sack {
-        sack(inner, hdr, m, bits);
-    }
-    if matches!(d.action, SrAction::Unbound) {
-        // Binding may now be possible (this fragment classified its
-        // message); bind what the floor allows, then retry the fragment.
-        sr_bind_ready(inner, qp_rc, hdr, (msg_id, frag));
-        d = on_frag();
-        if let Some((m, bits)) = d.sack {
-            sack(inner, hdr, m, bits);
-        }
-    }
-    let completes = match d.action {
-        SrAction::Duplicate { reack } => {
-            if reack {
-                ack(inner, hdr, msg_id);
-            }
-            return;
-        }
-        SrAction::Unbound => return,
-        SrAction::Install { completes } => completes,
-    };
-    let (dst_addr, mem, rwr_id) = {
-        let mut qp = qp_rc.borrow_mut();
-        let Some(asm) = qp.sr_recv.get_mut(&msg_id) else {
-            return; // reassembly flushed while the fragment was in flight
-        };
-        asm.received += payload.len();
-        let out = (
-            asm.wqe.sge.addr + offset as u64,
-            asm.mem.clone(),
-            asm.wqe.wr_id,
-        );
-        if completes {
-            qp.sr_recv.remove(&msg_id);
-        }
-        out
-    };
-    let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
-    let inner2 = Rc::clone(inner);
-    let qp2 = Rc::clone(qp_rc);
-    inner.sim.schedule_at(dma_done, move |_| {
-        mem.install(dst_addr, &payload)
-            .expect("validated landing zone");
-        if completes {
-            let mut qp = qp2.borrow_mut();
-            qp.rx_msgs += 1;
-            qp.rx_bytes += total_len as u64;
-            let cqe = Cqe {
-                wr_id: rwr_id,
-                status: CqeStatus::Success,
-                opcode: if imm.is_some() {
-                    CqeOpcode::RecvWithImm
-                } else {
-                    CqeOpcode::Recv
-                },
-                byte_len: total_len,
-                qp: qp.num,
-                imm,
-                src_qp: Some(hdr.src_qpn),
-                src_node: Some(hdr.src_node),
-            };
-            let recv_cq = qp.recv_cq.clone();
-            drop(qp);
-            deliver_cqe(&inner2, &recv_cq, cqe);
-            ack(&inner2, hdr, msg_id);
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sr_handle_write_frag(
-    inner: &Rc<NicInner>,
-    qp_rc: &Rc<RefCell<Qp>>,
-    hdr: PktHdr,
-    msg_id: u64,
-    frag: u32,
-    nfrags: u32,
-    total_len: usize,
-    raddr: u64,
-    rkey: crate::types::RKey,
-    offset: usize,
-    payload: PayloadSeg,
-    imm: Option<u32>,
-) {
-    // Validate before touching the window so a rejected fragment never
-    // marks its receive bit: the whole-message range on first contact
-    // (go-back-N checks it on fragment 0), then the fragment's own range.
-    let fresh = {
-        let qp = qp_rc.borrow();
-        !qp.retx
-            .as_ref()
-            .expect("SR mode implies armed")
-            .sr
-            .knows(msg_id)
-    };
-    if fresh
-        && inner
-            .mrs
-            .check_remote(rkey, raddr, total_len, true)
-            .is_err()
-    {
-        if let Some(rx) = qp_rc.borrow_mut().retx.as_mut() {
-            rx.sr.poison(msg_id, nfrags, SrKind::Write);
-        }
-        nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-        return;
-    }
-    let mr = match inner
-        .mrs
-        .check_remote(rkey, raddr + offset as u64, payload.len(), true)
-    {
-        Ok(mr) => mr,
-        Err(_) => {
-            nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-            return;
-        }
-    };
-    // Write-with-immediate consumes a receive WQE at completion, and the
-    // out-of-order window has no rewind — so check availability before
-    // committing the completing fragment, and RNR-NAK it back instead.
-    if imm.is_some() {
-        let rnr = {
-            let qp = qp_rc.borrow();
-            let rx = qp.retx.as_ref().expect("SR mode implies armed");
-            rx.sr.completes_with(msg_id, frag, nfrags) && qp.rq.is_empty()
-        };
-        if rnr {
-            nak(inner, hdr, msg_id, NakReason::Rnr);
-            return;
-        }
-    }
-    let d = {
-        let mut qp = qp_rc.borrow_mut();
-        let rx = qp.retx.as_mut().expect("SR mode implies armed");
-        rx.sr.on_frag(msg_id, frag, nfrags, SrKind::Write)
-    };
-    if let Some((m, bits)) = d.sack {
-        sack(inner, hdr, m, bits);
-    }
-    let completes = match d.action {
-        SrAction::Duplicate { reack } => {
-            if reack {
-                ack(inner, hdr, msg_id);
-            }
-            return;
-        }
-        SrAction::Unbound => return, // unreachable: writes never bind
-        SrAction::Install { completes } => completes,
-    };
-    let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
-    let inner2 = Rc::clone(inner);
-    let qp2 = Rc::clone(qp_rc);
-    let dst = raddr + offset as u64;
-    inner.sim.schedule_at(dma_done, move |_| {
-        mr.mem
-            .install(dst, &payload)
-            .expect("validated remote range");
-        if completes {
-            {
-                let mut qp = qp2.borrow_mut();
-                qp.rx_msgs += 1;
-                qp.rx_bytes += total_len as u64;
-            }
-            if let Some(imm) = imm {
-                let popped = qp2.borrow_mut().rq.pop_front();
-                match popped {
-                    Some(rwqe) => {
-                        let (cq, cqe) = {
-                            let qp = qp2.borrow();
-                            (
-                                qp.recv_cq.clone(),
-                                Cqe {
-                                    wr_id: rwqe.wr_id,
-                                    status: CqeStatus::Success,
-                                    opcode: CqeOpcode::RecvWithImm,
-                                    byte_len: total_len,
-                                    qp: qp.num,
-                                    imm: Some(imm),
-                                    src_qp: Some(hdr.src_qpn),
-                                    src_node: Some(hdr.src_node),
-                                },
-                            )
-                        };
-                        deliver_cqe(&inner2, &cq, cqe);
-                    }
-                    None => {
-                        // Pre-checked at arrival; only two immediates
-                        // completing in the same instant can land here.
-                        // Withhold the ACK — the replay's duplicate pass
-                        // re-ACKs, degrading to a lost-CQE corner rather
-                        // than corrupting WQE pairing.
-                        nak(&inner2, hdr, msg_id, NakReason::Rnr);
-                        return;
-                    }
-                }
-            }
-            ack(&inner2, hdr, msg_id);
-        }
-    });
-}
-
 #[allow(clippy::too_many_arguments)]
 fn handle_write_frag(
     inner: &Rc<NicInner>,
@@ -2080,60 +1742,80 @@ fn handle_write_frag(
     payload: PayloadSeg,
     imm: Option<u32>,
 ) {
-    if sr_mode(&qp_rc.borrow()) {
-        return sr_handle_write_frag(
-            inner, qp_rc, hdr, msg_id, frag, nfrags, total_len, raddr, rkey, offset, payload, imm,
-        );
-    }
-    match rx_gate(inner, qp_rc, hdr, msg_id, frag, frag + 1 == nfrags) {
-        RxSeq::Accept => {}
-        RxSeq::Drop { .. } => return,
-        RxSeq::DupAck => {
-            ack(inner, hdr, msg_id);
+    let dst = raddr + offset as u64;
+    let plen = payload.len();
+    // Remote range check: the whole message on first contact, then the
+    // fragment's own range. A rejected message is poisoned so its other
+    // fragments drop silently.
+    let validate = || -> Option<Mr> {
+        if qp_rc.borrow().rx.first_contact(msg_id, frag)
+            && inner
+                .mrs
+                .check_remote(rkey, raddr, total_len, true)
+                .is_err()
+        {
+            qp_rc.borrow_mut().rx.poison(msg_id, nfrags, RxKind::Write);
+            nak(inner, hdr, msg_id, NakReason::RemoteAccess);
+            return None;
+        }
+        let mr = inner.mrs.check_remote(rkey, dst, plen, true).ok();
+        if mr.is_none() {
+            nak(inner, hdr, msg_id, NakReason::RemoteAccess);
+        }
+        mr
+    };
+    // Where a write is validated is the policy's call. The selective
+    // window validates before it marks a fragment received, so a rejected
+    // fragment never counts; and since it cannot rewind, it also checks
+    // that a write-with-immediate's completing fragment will find a
+    // receive WQE. The in-order gate sequences first, so replay
+    // duplicates drop silently instead of being re-validated.
+    let selective = qp_rc.borrow().rx.is_selective();
+    let mut mr = None;
+    if selective {
+        mr = validate();
+        if mr.is_none() {
+            return;
+        }
+        let rnr = imm.is_some() && {
+            let qp = qp_rc.borrow();
+            qp.rx.completes_with(msg_id, frag, nfrags) && qp.rq.is_empty()
+        };
+        if rnr {
+            nak(inner, hdr, msg_id, NakReason::Rnr);
             return;
         }
     }
-    if qp_rc.borrow().drop_msg == Some(msg_id) {
-        if frag + 1 == nfrags {
-            qp_rc.borrow_mut().drop_msg = None;
-        }
-        return;
-    }
-    let mr = if frag == 0 {
-        match inner.mrs.check_remote(rkey, raddr, total_len, true) {
-            Ok(mr) => mr,
-            Err(_) => {
-                if nfrags > 1 {
-                    qp_rc.borrow_mut().drop_msg = Some(msg_id);
-                }
-                nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-                return;
+    let completes = match rx_offer(
+        inner,
+        qp_rc,
+        hdr,
+        msg_id,
+        frag,
+        nfrags,
+        RxKind::Write,
+        total_len,
+    ) {
+        RxAction::Install { completes } => completes,
+        RxAction::Discard { reack } => {
+            if reack {
+                ack(inner, hdr, msg_id);
             }
+            return;
         }
-    } else {
-        // Range for the whole message was validated on fragment 0.
-        match inner
-            .mrs
-            .check_remote(rkey, raddr + offset as u64, payload.len(), true)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-                return;
-            }
-        }
+        RxAction::Unbound => return, // unreachable: writes never bind
     };
-
-    let last = frag + 1 == nfrags;
-    let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
+    let Some(mr) = mr.or_else(validate) else {
+        return;
+    };
+    let dma_done = inner.dma.enqueue(DmaDir::ToHost, plen);
     let inner2 = Rc::clone(inner);
     let qp2 = Rc::clone(qp_rc);
-    let dst = raddr + offset as u64;
     inner.sim.schedule_at(dma_done, move |_| {
         mr.mem
             .install(dst, &payload)
             .expect("validated remote range");
-        if last {
+        if completes {
             {
                 let mut qp = qp2.borrow_mut();
                 qp.rx_msgs += 1;
@@ -2163,10 +1845,13 @@ fn handle_write_frag(
                         deliver_cqe(&inner2, &cq, cqe);
                     }
                     None => {
-                        // DMA completion runs after the gate advanced; the
-                        // replayed write re-lands idempotently and retries
-                        // the immediate's receive-WQE consumption.
-                        qp2.borrow_mut().rx_rnr_rewind(msg_id);
+                        // The window already accepted the message: in
+                        // order it rewinds, so the replayed write re-lands
+                        // idempotently and retries the WQE consumption.
+                        // The selective window pre-checked at arrival, so
+                        // only two immediates completing in the same
+                        // instant land here; its duplicate pass re-ACKs.
+                        qp2.borrow_mut().rx.rnr(msg_id);
                         nak(&inner2, hdr, msg_id, NakReason::Rnr);
                         return;
                     }
@@ -2186,43 +1871,18 @@ fn handle_read_req(
     rkey: crate::types::RKey,
     len: usize,
 ) {
-    let dup = if sr_mode(&qp_rc.borrow()) {
-        // Single-packet message through the out-of-order window: served on
-        // arrival; a duplicate means the response (or its tail) was lost,
-        // so re-serve idempotently without re-counting.
-        let d = {
-            let mut qp = qp_rc.borrow_mut();
-            let rx = qp.retx.as_mut().expect("SR mode implies armed");
-            rx.sr.on_frag(msg_id, 0, 1, SrKind::Read)
-        };
-        if let Some((m, bits)) = d.sack {
-            sack(inner, hdr, m, bits);
-        }
-        match d.action {
-            SrAction::Install { .. } => false,
-            SrAction::Duplicate { .. } => true,
-            SrAction::Unbound => return, // unreachable: reads never bind
-        }
-    } else {
-        match rx_gate(inner, qp_rc, hdr, msg_id, 0, true) {
-            RxSeq::Accept => false,
-            RxSeq::Drop { .. } => return,
-            // Replayed read request: the response (or its tail) was lost.
-            // Re-streaming is idempotent — the requester discards fragments
-            // it already landed — so serve it again without re-counting.
-            RxSeq::DupAck => true,
-        }
+    let dup = match rx_offer(inner, qp_rc, hdr, msg_id, 0, 1, RxKind::Read, len) {
+        RxAction::Install { .. } => false,
+        // Replayed read request of a delivered message: the response (or
+        // its tail) was lost. Re-streaming is idempotent — the requester
+        // discards fragments it already landed — so serve it again
+        // without re-counting.
+        RxAction::Discard { reack: true } => true,
+        RxAction::Discard { reack: false } | RxAction::Unbound => return,
     };
-    let mr = match inner.mrs.check_remote(rkey, raddr, len, false) {
-        Ok(mr) => mr,
-        Err(e) => {
-            let reason = match e {
-                MrError::OutOfRange => NakReason::RemoteAccess,
-                _ => NakReason::RemoteAccess,
-            };
-            nak(inner, hdr, msg_id, reason);
-            return;
-        }
+    let Ok(mr) = inner.mrs.check_remote(rkey, raddr, len, false) else {
+        nak(inner, hdr, msg_id, NakReason::RemoteAccess);
+        return;
     };
     if !dup {
         let mut qp = qp_rc.borrow_mut();

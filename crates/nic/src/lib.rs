@@ -6,10 +6,11 @@
 //! * RC and UD queue pairs with the IB state machine ([`qp`]),
 //! * two-sided send/recv and one-sided RDMA read/write with MTU
 //!   segmentation, DMA pipelining, per-message coalesced ACKs ([`engine`]),
-//! * RC retransmission in two flavors ([`RetxMode`]): go-back-N, and
-//!   selective repeat ([`SrRxWindow`]) that installs fragments out of
-//!   order and SACKs holes — the receiver `cord-net`'s per-packet spray
-//!   routing needs,
+//! * RC retransmission in two flavors ([`RetxMode`]) over one receive
+//!   path: the QP's [`RxWindow`] accepts fragments either in order
+//!   (go-back-N, NAKing the first gap) or selectively (selective repeat,
+//!   installing fragments out of order and SACKing holes — the receiver
+//!   `cord-net`'s per-packet spray routing needs),
 //! * inline sends (bypass only — the CoRD prototype lacks them, §5 of the
 //!   paper),
 //! * completion queues with polling and event (interrupt) consumption
@@ -32,7 +33,9 @@ pub use cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 pub use engine::{Nic, TX_BURST, TX_WINDOW};
 pub use mr::{Mr, MrError, MrTable};
 pub use packet::{NakReason, Packet, PacketKind};
-pub use qp::{RetxConfig, RetxMode, RetxState, RxSeq, SrAction, SrDecision, SrKind, SrRxWindow};
+pub use qp::{
+    Feedback, RecvAssembly, RetxConfig, RetxMode, RetxState, RxAction, RxKind, RxVerdict, RxWindow,
+};
 pub use types::{
     Access, CqId, LKey, NodeId, Opcode, QpNum, QpState, RKey, Transport, VerbsError, WrId,
 };

@@ -1,5 +1,6 @@
-//! Queue pairs: state machine, work queues, in-flight transfer state, and
-//! the RC retransmission state machines (go-back-N and selective repeat).
+//! Queue pairs: state machine, work queues, in-flight transfer state, the
+//! receive window (in-order and selective acceptance), and RC
+//! retransmission sender state.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -131,58 +132,121 @@ pub struct RetxEntry {
     pub sent: bool,
 }
 
-/// What the receive path should do with an arriving request packet, as
-/// decided by [`Qp::rx_seq_check`].
+/// How an arriving request message consumes receiver resources: sends
+/// bind a receive WQE in strict message order, writes and reads do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxSeq {
-    /// In sequence: process normally.
-    Accept,
-    /// Out of sequence or duplicate: discard. `nak` asks the engine to
-    /// send one coalesced sequence NAK for the first missing message.
-    Drop { nak: bool },
-    /// Duplicate of a fully delivered message: discard but re-ACK (the
-    /// original ACK may have been lost).
-    DupAck,
-}
-
-/// How an arriving request message consumes receiver resources, as far as
-/// the selective-repeat window cares: sends bind a receive WQE in strict
-/// message order, writes and reads do not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrKind {
+pub enum RxKind {
     Send,
     Write,
     Read,
 }
 
-/// What the engine should do with a fragment, per [`SrRxWindow::on_frag`].
+/// What the engine should do with an arriving request fragment, per
+/// [`RxWindow::on_frag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrAction {
-    /// Fresh fragment of a live message: install the payload.
-    /// `completes` means every fragment of the message has now landed.
+pub enum RxAction {
+    /// Fresh fragment of a live message: land the payload. `completes`
+    /// means every fragment of the message has now landed.
     Install { completes: bool },
-    /// Send fragment whose message cannot bind a receive WQE yet (an
-    /// earlier message is still unclassified or unbound): drop the
-    /// payload; SACK-driven replay recovers it.
+    /// Send fragment whose message has no receive WQE bound yet: bind
+    /// what [`RxWindow::next_bind`] offers, then offer the fragment again.
     Unbound,
-    /// Duplicate (or fragment of a poisoned message): drop the payload.
-    /// `reack` asks for a duplicate ACK — the original was likely lost.
-    Duplicate { reack: bool },
+    /// Drop the payload: a duplicate, an arrival the policy does not
+    /// accept, or a fragment of a rejected message. `reack` asks for a
+    /// duplicate ACK — the last fragment of a delivered message arrived
+    /// again, so the original ACK was likely lost.
+    Discard { reack: bool },
 }
 
-/// [`SrRxWindow::on_frag`] verdict plus an optional SACK to emit: the
-/// first missing message and the bitmap of its fragments already held
-/// (low 64; anything past bit 63 is replayed unconditionally).
+/// Gap feedback the receiver owes the sender, at most one per gap episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SrDecision {
-    pub action: SrAction,
-    pub sack: Option<(u64, u64)>,
+pub enum Feedback {
+    /// In-order policy: sequence NAK naming the first missing message.
+    Nak(u64),
+    /// Selective policy: the first missing message and the bitmap of its
+    /// fragments already held (low 64; anything past bit 63 is replayed
+    /// unconditionally).
+    Sack { msg_id: u64, received: u64 },
 }
 
-/// Per-message fragment tracking inside the selective-repeat window.
-#[derive(Debug, Clone)]
-struct SrMsgState {
-    kind: SrKind,
+/// [`RxWindow::on_frag`] verdict: the action plus any gap feedback to emit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RxVerdict {
+    pub action: RxAction,
+    pub feedback: Option<Feedback>,
+}
+
+impl RxVerdict {
+    fn discard(reack: bool) -> RxVerdict {
+        RxVerdict {
+            action: RxAction::Discard { reack },
+            feedback: None,
+        }
+    }
+}
+
+/// Responder-side receive window of one QP: sequencing, gap feedback, and
+/// the open send reassemblies. One receive path serves every QP; the
+/// acceptance policy follows the retransmission mode it was built for:
+///
+/// * **in order** (go-back-N, and QPs without retransmission): only the
+///   next fragment in sequence is accepted, a gap rewinds the open
+///   message to fragment 0 and NAKs the first missing message, and at
+///   most one reassembly is open. Without retransmission the window is
+///   ungated — every arrival counts as in sequence.
+/// * **selective** (selective repeat): fragments are accepted in any
+///   order against per-message received bitmaps, messages complete out of
+///   order, a gap SACKs the first missing message's bitmap, and any
+///   number of reassemblies are open — sends still bind receive WQEs in
+///   strict message order through a binding floor.
+///
+/// The engine owns WQE popping, memory checks, DMA, and packet emission,
+/// so the window is a pure state machine, property-testable against
+/// naive models.
+pub struct RxWindow {
+    /// Sequence tracking armed (RC retransmission on).
+    gated: bool,
+    /// Every message below this id is fully delivered.
+    expected_msg: u64,
+    /// One NAK or SACK per gap episode: set when one is sent, cleared by
+    /// delivery progress.
+    fb_sent: bool,
+    policy: Policy,
+}
+
+enum Policy {
+    InOrder(InOrder),
+    Selective(Selective),
+}
+
+#[derive(Default)]
+struct InOrder {
+    /// Next fragment expected within `expected_msg`.
+    expected_frag: u32,
+    /// Send whose fragment 0 waits for a receive WQE: `(msg, total_len)`.
+    pending: Option<(u64, usize)>,
+    /// Rejected message whose remaining fragments drop silently.
+    dropping: Option<u64>,
+    /// The open send reassembly.
+    open: Option<RecvAssembly>,
+}
+
+struct Selective {
+    /// Messages at or above `expected_msg` that completed out of order.
+    done: BTreeSet<u64>,
+    /// In-progress messages.
+    msgs: BTreeMap<u64, MsgState>,
+    /// Lowest message id not yet resolved for WQE binding: a send can
+    /// bind only once every earlier message is delivered, bound, or known
+    /// not to need a WQE.
+    floor: u64,
+    /// Open send reassemblies, keyed (and flushed) in message order.
+    open: BTreeMap<u64, RecvAssembly>,
+}
+
+/// Per-message fragment tracking inside the selective window.
+struct MsgState {
+    kind: RxKind,
     nfrags: u32,
     total_len: usize,
     /// Received-fragment bitmap, 64 fragments per word.
@@ -194,35 +258,54 @@ struct SrMsgState {
     poisoned: bool,
 }
 
-/// Receiver-side selective-repeat window: accepts fragments in any order,
-/// tracks per-message receive bitmaps, completes messages out of order,
-/// and decides when to emit a SACK. Pure state machine — the engine owns
-/// WQE binding, memory installs, and packet emission — so it is directly
-/// property-testable against a naive model.
-#[derive(Debug, Default)]
-pub struct SrRxWindow {
-    /// Every message below this id is fully delivered.
-    expected_msg: u64,
-    /// Messages at or above `expected_msg` that completed out of order.
-    done: BTreeSet<u64>,
-    /// In-progress messages.
-    msgs: BTreeMap<u64, SrMsgState>,
-    /// Lowest message id not yet resolved for WQE binding: sends bind in
-    /// strict message order, so a send can bind only once every earlier
-    /// message is delivered, bound, or known not to need a WQE.
-    floor: u64,
-    /// One SACK per gap episode, cleared when `expected_msg` advances.
-    sack_sent: bool,
+impl MsgState {
+    fn new(kind: RxKind, nfrags: u32) -> MsgState {
+        MsgState {
+            kind,
+            nfrags,
+            total_len: 0,
+            received: vec![0; (nfrags as usize).div_ceil(64)],
+            count: 0,
+            bound: kind != RxKind::Send,
+            poisoned: false,
+        }
+    }
+
+    fn has(&self, frag: u32) -> bool {
+        self.received[frag as usize / 64] >> (frag % 64) & 1 == 1
+    }
 }
 
-impl SrRxWindow {
-    pub fn new() -> SrRxWindow {
-        SrRxWindow {
+impl Selective {
+    fn knows(&self, msg_id: u64, expected_msg: u64) -> bool {
+        msg_id < expected_msg || self.done.contains(&msg_id) || self.msgs.contains_key(&msg_id)
+    }
+
+    fn lowest_missing(&self, msg_id: u64) -> u32 {
+        self.msgs.get(&msg_id).map_or(0, |m| {
+            (0..m.nfrags).find(|&f| !m.has(f)).unwrap_or(m.nfrags)
+        })
+    }
+}
+
+impl RxWindow {
+    /// A window for a QP whose retransmission is armed in `mode`, or
+    /// unarmed (`None`: in order and ungated).
+    pub fn new(mode: Option<RetxMode>) -> RxWindow {
+        let policy = match mode {
+            Some(RetxMode::Sr) => Policy::Selective(Selective {
+                done: BTreeSet::new(),
+                msgs: BTreeMap::new(),
+                floor: 1,
+                open: BTreeMap::new(),
+            }),
+            _ => Policy::InOrder(InOrder::default()),
+        };
+        RxWindow {
+            gated: mode.is_some(),
             expected_msg: 1,
-            done: BTreeSet::new(),
-            msgs: BTreeMap::new(),
-            floor: 1,
-            sack_sent: false,
+            fb_sent: false,
+            policy,
         }
     }
 
@@ -231,176 +314,274 @@ impl SrRxWindow {
         self.expected_msg
     }
 
-    /// Whether the window has ever seen (or delivered) `msg_id`.
-    pub fn knows(&self, msg_id: u64) -> bool {
-        msg_id < self.expected_msg || self.done.contains(&msg_id) || self.msgs.contains_key(&msg_id)
+    /// Whether the acceptance policy is selective (out-of-order) rather
+    /// than in order.
+    pub fn is_selective(&self) -> bool {
+        matches!(self.policy, Policy::Selective(_))
     }
 
-    /// Whether landing `frag` would complete `msg_id` (used by the engine
-    /// to pre-check receiver resources before committing the fragment).
+    /// Whether a write fragment must check its whole message's remote
+    /// range: on the first fragment the selective window hears of the
+    /// message, on fragment 0 in order.
+    pub fn first_contact(&self, msg_id: u64, frag: u32) -> bool {
+        match &self.policy {
+            Policy::InOrder(_) => frag == 0,
+            Policy::Selective(s) => !s.knows(msg_id, self.expected_msg),
+        }
+    }
+
+    /// Whether landing `frag` would complete `msg_id` under the selective
+    /// policy, which has no rewind — the engine pre-checks a
+    /// write-with-immediate's receive WQE on that fragment. Always false
+    /// in order, where a missing WQE rewinds at completion instead.
     pub fn completes_with(&self, msg_id: u64, frag: u32, nfrags: u32) -> bool {
-        match self.msgs.get(&msg_id) {
-            Some(m) => {
-                m.bound
-                    && !m.poisoned
-                    && m.count + 1 == m.nfrags
-                    && m.received[frag as usize / 64] >> (frag % 64) & 1 == 0
-            }
-            None => !self.knows(msg_id) && nfrags == 1,
-        }
-    }
-
-    /// Total length of an in-progress message (recorded from its first
-    /// arrived fragment; every fragment carries it on the wire).
-    pub fn total_len(&self, msg_id: u64) -> usize {
-        self.msgs.get(&msg_id).map_or(0, |m| m.total_len)
-    }
-
-    fn lowest_missing(&self, msg_id: u64) -> u32 {
-        let Some(m) = self.msgs.get(&msg_id) else {
-            return 0;
+        let Policy::Selective(s) = &self.policy else {
+            return false;
         };
-        for f in 0..m.nfrags {
-            if m.received[f as usize / 64] >> (f % 64) & 1 == 0 {
-                return f;
-            }
+        match s.msgs.get(&msg_id) {
+            Some(m) => m.bound && !m.poisoned && m.count + 1 == m.nfrags && !m.has(frag),
+            None => !s.knows(msg_id, self.expected_msg) && nfrags == 1,
         }
-        m.nfrags
     }
 
-    fn received_low64(&self, msg_id: u64) -> u64 {
-        self.msgs.get(&msg_id).map_or(0, |m| m.received[0])
-    }
-
-    /// Process one arriving fragment. Classifies the message on first
-    /// contact, tracks the receive bitmap, advances the cumulative
-    /// delivery point on completion, and decides whether to SACK: once
-    /// per gap episode, when the arrival lands ahead of the first missing
-    /// position (a later message, or a fragment past the lowest hole of
-    /// the expected message).
-    pub fn on_frag(&mut self, msg_id: u64, frag: u32, nfrags: u32, kind: SrKind) -> SrDecision {
+    /// Process one arriving request fragment (`total_len` is the whole
+    /// message's length, carried by every fragment). An in-order gap
+    /// rewinds the open reassembly, returning its receive WQE to the
+    /// front of `rq` so the replay rebinds it from fragment 0.
+    pub fn on_frag(
+        &mut self,
+        msg_id: u64,
+        frag: u32,
+        nfrags: u32,
+        kind: RxKind,
+        total_len: usize,
+        rq: &mut VecDeque<RecvWqe>,
+    ) -> RxVerdict {
         debug_assert!(frag < nfrags);
-        if msg_id < self.expected_msg || self.done.contains(&msg_id) {
-            return SrDecision {
-                action: SrAction::Duplicate {
-                    reack: frag + 1 == nfrags,
-                },
-                sack: None,
-            };
-        }
-        let e = self.msgs.entry(msg_id).or_insert_with(|| SrMsgState {
-            kind,
-            nfrags,
-            total_len: 0,
-            received: vec![0; (nfrags as usize).div_ceil(64)],
-            count: 0,
-            bound: !matches!(kind, SrKind::Send),
-            poisoned: false,
-        });
-        let action = if e.poisoned {
-            SrAction::Duplicate { reack: false }
-        } else if !e.bound {
-            SrAction::Unbound
-        } else if e.received[frag as usize / 64] >> (frag % 64) & 1 == 1 {
-            SrAction::Duplicate { reack: false }
-        } else {
-            e.received[frag as usize / 64] |= 1 << (frag % 64);
-            e.count += 1;
-            if e.count == e.nfrags {
-                self.msgs.remove(&msg_id);
-                self.done.insert(msg_id);
-                let before = self.expected_msg;
-                while self.done.remove(&self.expected_msg) {
-                    self.expected_msg += 1;
+        let last = frag + 1 == nfrags;
+        match &mut self.policy {
+            Policy::InOrder(io) => {
+                if self.gated {
+                    if msg_id < self.expected_msg {
+                        return RxVerdict::discard(last);
+                    }
+                    if msg_id > self.expected_msg || frag > io.expected_frag {
+                        let feedback = (!self.fb_sent).then_some(Feedback::Nak(self.expected_msg));
+                        self.fb_sent = true;
+                        io.expected_frag = 0;
+                        if let Some(asm) = io.open.take() {
+                            rq.push_front(asm.wqe);
+                        }
+                        return RxVerdict {
+                            action: RxAction::Discard { reack: false },
+                            feedback,
+                        };
+                    }
+                    if frag < io.expected_frag {
+                        return RxVerdict::discard(false);
+                    }
                 }
-                if self.expected_msg > before {
-                    self.sack_sent = false;
+                if io.dropping.is_some_and(|m| m != msg_id) {
+                    io.dropping = None;
                 }
-                if self.floor < self.expected_msg {
-                    self.floor = self.expected_msg;
+                let dropping = io.dropping.is_some();
+                let bound = io.open.as_ref().is_some_and(|a| a.msg_id == msg_id);
+                if kind == RxKind::Send && frag == 0 && !dropping && !bound {
+                    io.pending = Some((msg_id, total_len));
+                    return RxVerdict {
+                        action: RxAction::Unbound,
+                        feedback: None,
+                    };
                 }
-                SrAction::Install { completes: true }
-            } else {
-                SrAction::Install { completes: false }
+                if self.gated {
+                    io.expected_frag += 1;
+                    self.fb_sent = false;
+                    if last {
+                        self.expected_msg += 1;
+                        io.expected_frag = 0;
+                    }
+                }
+                if dropping || (kind == RxKind::Send && !bound) {
+                    if last {
+                        io.dropping = None;
+                    }
+                    return RxVerdict::discard(false);
+                }
+                RxVerdict {
+                    action: RxAction::Install { completes: last },
+                    feedback: None,
+                }
             }
-        };
-        let gap = msg_id > self.expected_msg
-            || (msg_id == self.expected_msg && frag > self.lowest_missing(msg_id));
-        let sack = if gap && !self.sack_sent && !matches!(action, SrAction::Duplicate { .. }) {
-            self.sack_sent = true;
-            Some((self.expected_msg, self.received_low64(self.expected_msg)))
-        } else {
-            None
-        };
-        SrDecision { action, sack }
-    }
-
-    /// Record the total message length from a fragment header (idempotent;
-    /// the engine calls this so WQE binding can length-check the message
-    /// even when fragment 0 has not arrived).
-    pub fn note_total_len(&mut self, msg_id: u64, total_len: usize) {
-        if let Some(m) = self.msgs.get_mut(&msg_id) {
-            m.total_len = total_len;
+            Policy::Selective(s) => {
+                if msg_id < self.expected_msg || s.done.contains(&msg_id) {
+                    return RxVerdict::discard(last);
+                }
+                let e = s
+                    .msgs
+                    .entry(msg_id)
+                    .or_insert_with(|| MsgState::new(kind, nfrags));
+                e.total_len = total_len;
+                let action = if e.poisoned || (e.bound && e.has(frag)) {
+                    RxAction::Discard { reack: false }
+                } else if !e.bound {
+                    RxAction::Unbound
+                } else {
+                    e.received[frag as usize / 64] |= 1 << (frag % 64);
+                    e.count += 1;
+                    let completes = e.count == e.nfrags;
+                    if completes {
+                        s.msgs.remove(&msg_id);
+                        s.done.insert(msg_id);
+                        let before = self.expected_msg;
+                        while s.done.remove(&self.expected_msg) {
+                            self.expected_msg += 1;
+                        }
+                        if self.expected_msg > before {
+                            self.fb_sent = false;
+                        }
+                        s.floor = s.floor.max(self.expected_msg);
+                    }
+                    RxAction::Install { completes }
+                };
+                // Gap evidence: an arrival ahead of the first missing
+                // position (a later message, or a fragment past the
+                // lowest hole of the expected message).
+                let gap = msg_id > self.expected_msg
+                    || (msg_id == self.expected_msg && frag > s.lowest_missing(msg_id));
+                let feedback =
+                    if gap && !self.fb_sent && !matches!(action, RxAction::Discard { .. }) {
+                        self.fb_sent = true;
+                        let received = s.msgs.get(&self.expected_msg).map_or(0, |m| m.received[0]);
+                        Some(Feedback::Sack {
+                            msg_id: self.expected_msg,
+                            received,
+                        })
+                    } else {
+                        None
+                    };
+                RxVerdict { action, feedback }
+            }
         }
     }
 
-    /// The next send message ready to bind a receive WQE, if any: the
-    /// binding floor advances over delivered / bound / poisoned messages
-    /// and stalls on the first unclassified gap (replay fills it) or the
-    /// first unbound send (which this returns).
-    pub fn next_bind(&mut self) -> Option<u64> {
+    /// The next send ready to bind a receive WQE, with its total length:
+    /// in order, the send whose fragment 0 just came back
+    /// [`RxAction::Unbound`]; selective, the send at the binding floor,
+    /// which advances over delivered / bound / poisoned messages and
+    /// stalls on the first unclassified gap (replay fills it).
+    pub fn next_bind(&mut self) -> Option<(u64, usize)> {
+        let s = match &mut self.policy {
+            Policy::InOrder(io) => return io.pending.take(),
+            Policy::Selective(s) => s,
+        };
+        s.floor = s.floor.max(self.expected_msg);
         loop {
-            if self.floor < self.expected_msg {
-                self.floor = self.expected_msg;
+            if s.done.contains(&s.floor) {
+                s.floor += 1;
                 continue;
             }
-            if self.done.contains(&self.floor) {
-                self.floor += 1;
-                continue;
-            }
-            match self.msgs.get(&self.floor) {
-                Some(m) if m.bound || m.poisoned => {
-                    self.floor += 1;
-                    continue;
-                }
+            match s.msgs.get(&s.floor) {
+                Some(m) if m.bound || m.poisoned => s.floor += 1,
                 Some(m) => {
-                    debug_assert!(matches!(m.kind, SrKind::Send));
-                    return Some(self.floor);
+                    debug_assert_eq!(m.kind, RxKind::Send);
+                    return Some((s.floor, m.total_len));
                 }
                 None => return None,
             }
         }
     }
 
-    /// Mark a send message as having bound its receive WQE.
-    pub fn bound(&mut self, msg_id: u64) {
-        if let Some(m) = self.msgs.get_mut(&msg_id) {
-            m.bound = true;
+    /// Open the reassembly of a send that just bound its receive WQE.
+    pub fn bind(&mut self, asm: RecvAssembly) {
+        match &mut self.policy {
+            Policy::InOrder(io) => io.open = Some(asm),
+            Policy::Selective(s) => {
+                if let Some(m) = s.msgs.get_mut(&asm.msg_id) {
+                    m.bound = true;
+                }
+                s.open.insert(asm.msg_id, asm);
+            }
         }
     }
 
-    /// Reject a message (length / protection error): all of its fragments
-    /// drop silently from now on and it never blocks the binding floor.
-    pub fn poison(&mut self, msg_id: u64, nfrags: u32, kind: SrKind) {
-        let e = self.msgs.entry(msg_id).or_insert_with(|| SrMsgState {
-            kind,
-            nfrags,
-            total_len: 0,
-            received: vec![0; (nfrags as usize).div_ceil(64)],
-            count: 0,
-            bound: !matches!(kind, SrKind::Send),
-            poisoned: true,
-        });
-        e.poisoned = true;
+    /// Reject a message (length / protection error): its fragments drop
+    /// silently from now on, and it never blocks the binding floor.
+    pub fn poison(&mut self, msg_id: u64, nfrags: u32, kind: RxKind) {
+        match &mut self.policy {
+            Policy::InOrder(io) => io.dropping = Some(msg_id),
+            Policy::Selective(s) => {
+                s.msgs
+                    .entry(msg_id)
+                    .or_insert_with(|| MsgState::new(kind, nfrags))
+                    .poisoned = true;
+            }
+        }
+    }
+
+    /// Receiver-not-ready for `msg_id` (no usable receive WQE). In order
+    /// with sequencing armed, rewind to fragment 0 of `msg_id` so the
+    /// post-backoff replay is accepted rather than classified as a
+    /// duplicate, and suppress sequence NAKs until in-order progress
+    /// resumes — the sender already knows where to restart. The selective
+    /// policy leaves the message unbound instead; no-op there.
+    pub fn rnr(&mut self, msg_id: u64) {
+        if let (true, Policy::InOrder(io)) = (self.gated, &mut self.policy) {
+            self.expected_msg = msg_id;
+            io.expected_frag = 0;
+            self.fb_sent = true;
+        }
+    }
+
+    /// Landing target of an installed send fragment — the bound WQE's
+    /// buffer address, its arena, and its `wr_id` — closing the
+    /// reassembly when the fragment `completes` the message. The in-order
+    /// slot can host the next message as soon as the last fragment has
+    /// *arrived*, even though its DMA completion is still in flight.
+    pub fn landing(
+        &mut self,
+        msg_id: u64,
+        completes: bool,
+    ) -> Option<(u64, cord_hw::GuestMem, WrId)> {
+        let asm = match &mut self.policy {
+            Policy::InOrder(io) => io.open.as_ref().filter(|a| a.msg_id == msg_id)?,
+            Policy::Selective(s) => s.open.get(&msg_id)?,
+        };
+        let out = (asm.wqe.sge.addr, asm.mem.clone(), asm.wqe.wr_id);
+        if completes {
+            match &mut self.policy {
+                Policy::InOrder(io) => io.open = None,
+                Policy::Selective(s) => drop(s.open.remove(&msg_id)),
+            }
+        }
+        Some(out)
+    }
+
+    /// Whether any receive WQE is bound to a half-assembled message.
+    pub fn has_open(&self) -> bool {
+        match &self.policy {
+            Policy::InOrder(io) => io.open.is_some(),
+            Policy::Selective(s) => !s.open.is_empty(),
+        }
+    }
+
+    /// Close every open reassembly, in message order, returning them so
+    /// their receive WQEs can be flushed.
+    pub fn drain_open(&mut self) -> Vec<RecvAssembly> {
+        match &mut self.policy {
+            Policy::InOrder(io) => io.open.take().into_iter().collect(),
+            Policy::Selective(s) => std::mem::take(&mut s.open).into_values().collect(),
+        }
     }
 }
 
-/// Go-back-N retransmission state for one RC QP (sender and receiver
-/// roles), armed by `Nic::set_rc_retx`.
+/// Sender-side retransmission state for one RC QP, armed by
+/// `Nic::set_rc_retx`: the unacked window, replay queue, and timers that
+/// both disciplines share, plus selective repeat's SACK replay masks. The
+/// receiver side lives in the QP's [`RxWindow`].
 #[derive(Debug)]
 pub struct RetxState {
     pub cfg: RetxConfig,
-    /// Unacked WQEs in message order (the go-back-N window).
+    /// Unacked WQEs in message order.
     pub window: VecDeque<RetxEntry>,
     /// Messages queued for replay, consumed by the TX scheduler ahead of
     /// fresh sends.
@@ -416,12 +597,6 @@ pub struct RetxState {
     /// First message to replay when the RNR backoff fires (the message
     /// the responder RNR-NAKed).
     pub rnr_from: u64,
-    /// Receiver side: next message id expected to make progress.
-    pub expected_msg: u64,
-    /// Receiver side: next fragment expected within `expected_msg`.
-    pub expected_frag: u32,
-    /// One sequence NAK per gap: suppressed until in-order progress.
-    pub nak_sent: bool,
     /// Messages queued for replay over the QP's lifetime (diagnostics).
     pub replayed: u64,
     /// Sender side, selective repeat: per-message bitmaps of fragments
@@ -429,9 +604,6 @@ pub struct RetxState {
     /// sticky-correct (an installed fragment never un-installs), so stale
     /// masks can only suppress redundant traffic, never lose data.
     pub rtx_mask: HashMap<u64, u64>,
-    /// Receiver side, selective repeat: the out-of-order receive window.
-    /// Unused (empty) in go-back-N mode.
-    pub sr: SrRxWindow,
 }
 
 impl RetxState {
@@ -445,12 +617,8 @@ impl RetxState {
             rnr_retries: 0,
             rnr_timer: None,
             rnr_from: 0,
-            expected_msg: 1,
-            expected_frag: 0,
-            nak_sent: false,
             replayed: 0,
             rtx_mask: HashMap::new(),
-            sr: SrRxWindow::new(),
         }
     }
 
@@ -492,14 +660,13 @@ impl RetxState {
     }
 }
 
-/// Responder-side reassembly of the in-progress inbound send (RC is
-/// strictly ordered per QP, so one slot suffices).
+/// Responder-side reassembly of an inbound send: the receive WQE bound to
+/// it. The [`RxWindow`] holds one per open message — at most one under
+/// the in-order policy, any number under the selective one.
 #[derive(Clone)]
 pub struct RecvAssembly {
     pub msg_id: u64,
     pub wqe: RecvWqe,
-    pub received: usize,
-    pub total_len: usize,
     /// Landing arena resolved from the receive WQE's lkey.
     pub mem: cord_hw::GuestMem,
 }
@@ -543,19 +710,13 @@ pub struct Qp {
     pub max_rd_atomic: usize,
     pub pending_acks: HashMap<u64, PendingAck>,
     pub pending_reads: HashMap<u64, PendingRead>,
-    pub cur_recv: Option<RecvAssembly>,
-    /// Selective repeat: concurrent inbound send reassemblies keyed by
-    /// message id (out-of-order arrival means several can be open at
-    /// once). Go-back-N uses the single `cur_recv` slot instead.
-    pub sr_recv: BTreeMap<u64, RecvAssembly>,
-    /// Inbound write message currently being dropped after a NAK.
-    pub drop_msg: Option<u64>,
+    /// Receive side: sequencing, gap feedback, and open reassemblies.
+    pub rx: RxWindow,
     /// DCQCN sender state (`Some` iff the QP's CC knob is `Dcqcn`). On the
     /// receive side its presence also enables CNP echo for marked arrivals.
     pub dcqcn: Option<Dcqcn>,
-    /// RC retransmission state (`Some` iff armed via `Nic::set_rc_retx`).
-    /// Sender side: unacked window + retransmit timer; receiver side:
-    /// in-order sequence tracking and NAK suppression.
+    /// RC retransmission sender state (`Some` iff armed via
+    /// `Nic::set_rc_retx`): unacked window + retransmit timers.
     pub retx: Option<RetxState>,
     /// Last CNP echoed from this QP (receiver-side CNP rate limiting).
     pub last_cnp_tx: Option<SimTime>,
@@ -595,9 +756,7 @@ impl Qp {
             max_rd_atomic,
             pending_acks: HashMap::new(),
             pending_reads: HashMap::new(),
-            cur_recv: None,
-            sr_recv: BTreeMap::new(),
-            drop_msg: None,
+            rx: RxWindow::new(None),
             dcqcn: None,
             retx: None,
             last_cnp_tx: None,
@@ -726,78 +885,6 @@ impl Qp {
         let id = self.next_msg_id;
         self.next_msg_id += 1;
         id
-    }
-
-    /// Receiver-side go-back-N sequence check for an arriving request
-    /// fragment (`frag`/`last` are 0/`true` for single-packet requests
-    /// like read requests). No-op ([`RxSeq::Accept`]) unless
-    /// retransmission is armed.
-    ///
-    /// In-sequence arrivals advance the expected position and clear NAK
-    /// suppression; a gap (lost fragment or whole message) discards the
-    /// arrival, rewinds any partial send reassembly so the replay can
-    /// rebind its receive WQE from fragment 0, and asks for one coalesced
-    /// sequence NAK naming the first missing message.
-    pub fn rx_seq_check(&mut self, msg_id: u64, frag: u32, last: bool) -> RxSeq {
-        let Some(rx) = self.retx.as_mut() else {
-            return RxSeq::Accept;
-        };
-        if msg_id < rx.expected_msg {
-            // Replay of a message already delivered: its ACK was lost or
-            // slow. Re-ACK on the last fragment so the sender's window
-            // clears; drop the payload either way.
-            return if last {
-                RxSeq::DupAck
-            } else {
-                RxSeq::Drop { nak: false }
-            };
-        }
-        if msg_id > rx.expected_msg || frag > rx.expected_frag {
-            // Gap: a whole message or a fragment went missing. Rewind the
-            // partial reassembly (the replay restarts at fragment 0) and
-            // NAK once per gap episode.
-            let nak = !rx.nak_sent;
-            rx.nak_sent = true;
-            rx.expected_frag = 0;
-            if let Some(asm) = self.cur_recv.take() {
-                self.rq.push_front(asm.wqe);
-            }
-            return RxSeq::Drop { nak };
-        }
-        if frag < rx.expected_frag {
-            // Replay duplicate of a fragment already landed; the tail of
-            // the replay will line up with `expected_frag`.
-            return RxSeq::Drop { nak: false };
-        }
-        rx.expected_frag += 1;
-        rx.nak_sent = false;
-        if last {
-            rx.expected_msg += 1;
-            rx.expected_frag = 0;
-        }
-        RxSeq::Accept
-    }
-
-    /// The first message the receive side is missing (what a sequence NAK
-    /// reports). Panics if retransmission is not armed.
-    pub fn rx_expected_msg(&self) -> u64 {
-        self.retx.as_ref().expect("retx armed").expected_msg
-    }
-
-    /// Receiver-side rewind after an RNR NAK for `msg_id`: the arriving
-    /// fragment already advanced the expected position in
-    /// [`Qp::rx_seq_check`], but its payload was discarded, so the replay
-    /// must be re-accepted from fragment 0 of the NAKed message (and its
-    /// trailing in-flight fragments dropped rather than DupAcked). Also
-    /// suppresses sequence NAKs until in-order progress resumes — the
-    /// sender already knows where to restart. No-op when retransmission
-    /// is not armed (RNR is then fatal and the QP flushes).
-    pub fn rx_rnr_rewind(&mut self, msg_id: u64) {
-        if let Some(rx) = self.retx.as_mut() {
-            rx.expected_msg = msg_id;
-            rx.expected_frag = 0;
-            rx.nak_sent = true;
-        }
     }
 
     /// Move to the error state; remaining queued WQEs flush with errors.
@@ -971,76 +1058,115 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    fn mk_retx_qp() -> Qp {
-        let mut qp = mk_qp(Transport::Rc);
-        qp.retx = Some(RetxState::new(RetxConfig::default()));
-        qp
+    fn gbn() -> RxWindow {
+        RxWindow::new(Some(RetxMode::Gbn))
+    }
+
+    fn sr() -> RxWindow {
+        RxWindow::new(Some(RetxMode::Sr))
+    }
+
+    /// Offer one fragment of a 64-byte message, with an RQ nobody checks.
+    fn offer(w: &mut RxWindow, msg: u64, frag: u32, nfrags: u32, kind: RxKind) -> RxVerdict {
+        w.on_frag(msg, frag, nfrags, kind, 64, &mut VecDeque::new())
+    }
+
+    fn act(w: &mut RxWindow, msg: u64, frag: u32, nfrags: u32, kind: RxKind) -> RxAction {
+        offer(w, msg, frag, nfrags, kind).action
+    }
+
+    const fn install(completes: bool) -> RxAction {
+        RxAction::Install { completes }
+    }
+
+    const fn discard(reack: bool) -> RxAction {
+        RxAction::Discard { reack }
+    }
+
+    fn asm(msg_id: u64, wr: u64) -> RecvAssembly {
+        RecvAssembly {
+            msg_id,
+            wqe: RecvWqe::new(WrId(wr), sge(64)),
+            mem: cord_hw::GuestMem::new(),
+        }
     }
 
     #[test]
     fn rx_seq_accepts_in_order_and_advances() {
-        let mut qp = mk_retx_qp();
+        let mut w = gbn();
         // msg 1: three fragments in order, then msg 2 single-fragment.
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 1, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 2, true), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(2, 0, true), RxSeq::Accept);
-        assert_eq!(qp.rx_expected_msg(), 3);
+        assert_eq!(act(&mut w, 1, 0, 3, RxKind::Write), install(false));
+        assert_eq!(act(&mut w, 1, 1, 3, RxKind::Write), install(false));
+        assert_eq!(act(&mut w, 1, 2, 3, RxKind::Write), install(true));
+        assert_eq!(act(&mut w, 2, 0, 1, RxKind::Write), install(true));
+        assert_eq!(w.expected_msg(), 3);
         // Without retx armed, everything is accepted untracked.
-        let mut plain = mk_qp(Transport::Rc);
-        assert_eq!(plain.rx_seq_check(9, 5, false), RxSeq::Accept);
+        let mut plain = RxWindow::new(None);
+        assert_eq!(act(&mut plain, 9, 5, 8, RxKind::Write), install(false));
     }
 
     #[test]
     fn rx_seq_naks_once_per_gap_and_resumes_on_progress() {
-        let mut qp = mk_retx_qp();
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
+        let mut w = gbn();
+        let nak = |m| RxVerdict {
+            action: discard(false),
+            feedback: Some(Feedback::Nak(m)),
+        };
+        assert_eq!(act(&mut w, 1, 0, 4, RxKind::Write), install(false));
         // Fragment 1 lost: 2 arrives out of order — one NAK, then silence.
-        assert_eq!(qp.rx_seq_check(1, 2, false), RxSeq::Drop { nak: true });
-        assert_eq!(qp.rx_seq_check(1, 3, true), RxSeq::Drop { nak: false });
+        assert_eq!(offer(&mut w, 1, 2, 4, RxKind::Write), nak(1));
+        assert_eq!(
+            offer(&mut w, 1, 3, 4, RxKind::Write),
+            RxVerdict::discard(false)
+        );
         // Later messages during the same gap stay suppressed too.
-        assert_eq!(qp.rx_seq_check(2, 0, true), RxSeq::Drop { nak: false });
+        assert_eq!(
+            offer(&mut w, 2, 0, 1, RxKind::Write),
+            RxVerdict::discard(false)
+        );
         // Go-back-N replay restarts msg 1 from fragment 0 and is accepted;
         // progress re-arms NAK for the next gap.
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 1, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 3, true), RxSeq::Drop { nak: true });
+        assert_eq!(act(&mut w, 1, 0, 4, RxKind::Write), install(false));
+        assert_eq!(act(&mut w, 1, 1, 4, RxKind::Write), install(false));
+        assert_eq!(offer(&mut w, 1, 3, 4, RxKind::Write), nak(1));
     }
 
     #[test]
     fn rx_seq_gap_rewinds_partial_reassembly() {
-        let mut qp = mk_retx_qp();
-        qp.to_init().unwrap();
-        // Bind a fake in-progress reassembly for msg 1.
-        qp.cur_recv = Some(RecvAssembly {
-            msg_id: 1,
-            wqe: RecvWqe::new(WrId(77), sge(64)),
-            received: 16,
-            total_len: 64,
-            mem: cord_hw::GuestMem::new(),
-        });
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 2, true), RxSeq::Drop { nak: true });
+        let mut w = gbn();
+        let mut rq = VecDeque::new();
+        // Msg 1's fragment 0 binds receive WQE 77 and lands.
+        let v = w.on_frag(1, 0, 3, RxKind::Send, 64, &mut rq);
+        assert_eq!(v.action, RxAction::Unbound);
+        assert_eq!(w.next_bind(), Some((1, 64)));
+        w.bind(asm(1, 77));
+        let v = w.on_frag(1, 0, 3, RxKind::Send, 64, &mut rq);
+        assert_eq!(v.action, install(false));
+        let v = w.on_frag(1, 2, 3, RxKind::Send, 64, &mut rq);
+        assert_eq!(v.feedback, Some(Feedback::Nak(1)));
         // The bound receive WQE went back to the front of the RQ so the
         // replay can rebind it from fragment 0.
-        assert!(qp.cur_recv.is_none());
-        assert_eq!(qp.rq.front().unwrap().wr_id, WrId(77));
+        assert!(!w.has_open());
+        assert_eq!(rq.front().unwrap().wr_id, WrId(77));
     }
 
     #[test]
     fn rx_seq_duplicates_reack_only_on_last_fragment() {
-        let mut qp = mk_retx_qp();
-        assert_eq!(qp.rx_seq_check(1, 0, true), RxSeq::Accept);
+        let mut w = gbn();
+        assert_eq!(act(&mut w, 1, 0, 1, RxKind::Write), install(true));
         // Replay of the delivered message: drop payload, re-ACK at the end.
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Drop { nak: false });
-        assert_eq!(qp.rx_seq_check(1, 0, true), RxSeq::DupAck);
+        assert_eq!(act(&mut w, 1, 0, 2, RxKind::Write), discard(false));
+        assert_eq!(act(&mut w, 1, 0, 1, RxKind::Write), discard(true));
         // Replay duplicate of an already-landed fragment inside the
         // current message: silent drop, no rewind.
-        assert_eq!(qp.rx_seq_check(2, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(2, 1, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(2, 0, false), RxSeq::Drop { nak: false });
-        assert_eq!(qp.rx_seq_check(2, 2, true), RxSeq::Accept);
-        assert_eq!(qp.rx_expected_msg(), 3);
+        assert_eq!(act(&mut w, 2, 0, 3, RxKind::Write), install(false));
+        assert_eq!(act(&mut w, 2, 1, 3, RxKind::Write), install(false));
+        assert_eq!(
+            offer(&mut w, 2, 0, 3, RxKind::Write),
+            RxVerdict::discard(false)
+        );
+        assert_eq!(act(&mut w, 2, 2, 3, RxKind::Write), install(true));
+        assert_eq!(w.expected_msg(), 3);
     }
 
     #[test]
@@ -1073,117 +1199,103 @@ mod tests {
 
     #[test]
     fn sr_window_accepts_out_of_order_and_completes() {
-        let mut w = SrRxWindow::new();
+        let mut w = sr();
         // Writes need no WQE binding: fragments land in any order.
-        let d = w.on_frag(1, 2, 3, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: false });
+        let d = offer(&mut w, 1, 2, 3, RxKind::Write);
+        assert_eq!(d.action, install(false));
         // Arrival past the first hole of the expected message → SACK
         // naming msg 1 with bit 2 set.
-        assert_eq!(d.sack, Some((1, 0b100)));
-        let d = w.on_frag(1, 0, 3, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: false });
-        assert_eq!(d.sack, None, "one SACK per gap episode");
-        let d = w.on_frag(1, 1, 3, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: true });
+        assert_eq!(
+            d.feedback,
+            Some(Feedback::Sack {
+                msg_id: 1,
+                received: 0b100
+            })
+        );
+        let d = offer(&mut w, 1, 0, 3, RxKind::Write);
+        assert_eq!(d.action, install(false));
+        assert_eq!(d.feedback, None, "one SACK per gap episode");
+        let d = offer(&mut w, 1, 1, 3, RxKind::Write);
+        assert_eq!(d.action, install(true));
         assert_eq!(w.expected_msg(), 2);
         // Message 3 completes before message 2: delivery point holds.
-        assert_eq!(
-            w.on_frag(3, 0, 1, SrKind::Write).action,
-            SrAction::Install { completes: true }
-        );
+        assert_eq!(act(&mut w, 3, 0, 1, RxKind::Write), install(true));
         assert_eq!(w.expected_msg(), 2);
-        assert_eq!(
-            w.on_frag(2, 0, 1, SrKind::Write).action,
-            SrAction::Install { completes: true }
-        );
+        assert_eq!(act(&mut w, 2, 0, 1, RxKind::Write), install(true));
         assert_eq!(w.expected_msg(), 4, "delivery point jumps over done msgs");
     }
 
     #[test]
     fn sr_window_duplicates_reack_only_on_last_fragment() {
-        let mut w = SrRxWindow::new();
-        assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Write).action,
-            SrAction::Install { completes: false }
-        );
+        let mut w = sr();
+        assert_eq!(act(&mut w, 1, 0, 2, RxKind::Write), install(false));
         // Same fragment again: silent drop.
-        assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Write).action,
-            SrAction::Duplicate { reack: false }
-        );
-        assert_eq!(
-            w.on_frag(1, 1, 2, SrKind::Write).action,
-            SrAction::Install { completes: true }
-        );
+        assert_eq!(act(&mut w, 1, 0, 2, RxKind::Write), discard(false));
+        assert_eq!(act(&mut w, 1, 1, 2, RxKind::Write), install(true));
         // Replay of the delivered message: re-ACK only on its last frag.
-        assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Write).action,
-            SrAction::Duplicate { reack: false }
-        );
-        assert_eq!(
-            w.on_frag(1, 1, 2, SrKind::Write).action,
-            SrAction::Duplicate { reack: true }
-        );
+        assert_eq!(act(&mut w, 1, 0, 2, RxKind::Write), discard(false));
+        assert_eq!(act(&mut w, 1, 1, 2, RxKind::Write), discard(true));
     }
 
     #[test]
     fn sr_window_binds_sends_in_message_order() {
-        let mut w = SrRxWindow::new();
+        let mut w = sr();
         // Msg 2's fragment arrives before anything of msg 1: it cannot
         // bind (msg 1 unclassified), so the payload drops.
-        assert_eq!(w.on_frag(2, 0, 2, SrKind::Send).action, SrAction::Unbound);
+        assert_eq!(act(&mut w, 2, 0, 2, RxKind::Send), RxAction::Unbound);
         assert_eq!(w.next_bind(), None, "floor stalls on unclassified msg 1");
         // Msg 1 turns out to be a write: the floor advances and msg 2
         // becomes bindable.
-        assert_eq!(
-            w.on_frag(1, 0, 1, SrKind::Write).action,
-            SrAction::Install { completes: true }
-        );
-        assert_eq!(w.next_bind(), Some(2));
-        w.bound(2);
+        assert_eq!(act(&mut w, 1, 0, 1, RxKind::Write), install(true));
+        assert_eq!(w.next_bind(), Some((2, 64)));
+        w.bind(asm(2, 2));
         assert_eq!(w.next_bind(), None);
         // Bound now: the retried fragment installs.
-        assert_eq!(
-            w.on_frag(2, 0, 2, SrKind::Send).action,
-            SrAction::Install { completes: false }
-        );
-        assert_eq!(
-            w.on_frag(2, 1, 2, SrKind::Send).action,
-            SrAction::Install { completes: true }
-        );
+        assert_eq!(act(&mut w, 2, 0, 2, RxKind::Send), install(false));
+        assert_eq!(act(&mut w, 2, 1, 2, RxKind::Send), install(true));
         assert_eq!(w.expected_msg(), 3);
     }
 
     #[test]
     fn sr_window_poisoned_messages_drop_and_skip_floor() {
-        let mut w = SrRxWindow::new();
-        w.poison(1, 2, SrKind::Send);
+        let mut w = sr();
+        w.poison(1, 2, RxKind::Send);
         assert_eq!(w.next_bind(), None, "poisoned send never binds");
-        assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Send).action,
-            SrAction::Duplicate { reack: false }
-        );
+        assert_eq!(act(&mut w, 1, 0, 2, RxKind::Send), discard(false));
         // A later send is still bindable: the floor skips the poisoned msg.
-        assert_eq!(w.on_frag(2, 0, 1, SrKind::Send).action, SrAction::Unbound);
-        assert_eq!(w.next_bind(), Some(2));
+        assert_eq!(act(&mut w, 2, 0, 1, RxKind::Send), RxAction::Unbound);
+        assert_eq!(w.next_bind(), Some((2, 64)));
     }
 
     #[test]
     fn sr_window_sack_carries_expected_msg_bitmap() {
-        let mut w = SrRxWindow::new();
+        let mut w = sr();
         // Msg 1 partially lands, then msg 2 arrives: the SACK names msg 1
         // (first missing) with its received bitmap.
-        assert_eq!(w.on_frag(1, 0, 4, SrKind::Write).sack, None);
-        assert_eq!(w.on_frag(1, 3, 4, SrKind::Write).sack, Some((1, 0b1001)));
+        assert_eq!(offer(&mut w, 1, 0, 4, RxKind::Write).feedback, None);
+        assert_eq!(
+            offer(&mut w, 1, 3, 4, RxKind::Write).feedback,
+            Some(Feedback::Sack {
+                msg_id: 1,
+                received: 0b1001
+            })
+        );
         // Suppressed until progress...
-        assert_eq!(w.on_frag(2, 0, 1, SrKind::Write).sack, None);
-        assert_eq!(w.on_frag(1, 1, 4, SrKind::Write).sack, None);
+        assert_eq!(offer(&mut w, 2, 0, 1, RxKind::Write).feedback, None);
+        assert_eq!(offer(&mut w, 1, 1, 4, RxKind::Write).feedback, None);
         // ...completing msg 1 advances the point and re-arms the SACK.
-        let d = w.on_frag(1, 2, 4, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: true });
+        let d = offer(&mut w, 1, 2, 4, RxKind::Write);
+        assert_eq!(d.action, install(true));
         assert_eq!(w.expected_msg(), 3);
-        let d = w.on_frag(4, 0, 1, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: true });
-        assert_eq!(d.sack, Some((3, 0)), "never-seen msg SACKs an empty bitmap");
+        let d = offer(&mut w, 4, 0, 1, RxKind::Write);
+        assert_eq!(d.action, install(true));
+        assert_eq!(
+            d.feedback,
+            Some(Feedback::Sack {
+                msg_id: 3,
+                received: 0
+            }),
+            "never-seen msg SACKs an empty bitmap"
+        );
     }
 }
