@@ -24,7 +24,7 @@ pub use fabric::{Fabric, FabricBuilder};
 /// Everything a typical experiment needs.
 pub mod prelude {
     pub use crate::fabric::{Fabric, FabricBuilder};
-    pub use cord_hw::{system_a, system_l, Core, GuestMem, MachineSpec, MemRegion};
+    pub use cord_hw::{system_a, system_l, Core, GuestMem, MachineSpec, MemRegion, MemStats};
     pub use cord_kern::{
         CordPolicy, FreezePolicy, IpoibStack, Kernel, ObservePolicy, PolicyDecision, QosClass,
         QosPolicy, QuotaPolicy, RateLimitPolicy, SecurityPolicy, Socket,

@@ -22,6 +22,6 @@ pub use cpu::{Core, CoreId};
 pub use dvfs::Dvfs;
 pub use link::{Fabric, Frame};
 pub use machine::{system_a, system_l, MachineSpec};
-pub use memory::{GuestMem, MemError, MemRegion, PayloadSeg, GUEST_BASE};
+pub use memory::{GuestMem, MemError, MemRegion, MemStats, PayloadSeg, GUEST_BASE};
 pub use noise::Noise;
 pub use pcie::{DmaDir, DmaEngine};

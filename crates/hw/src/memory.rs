@@ -25,6 +25,23 @@
 //! receive buffer) therefore never copies payload bytes at all: each
 //! install just replaces the previous patch for that range.
 //!
+//! ## Demand-zero chunks and the unit of copy-on-write
+//!
+//! A chunk records its length and fill byte and creates its backing buffer
+//! only on the first byte-level access: a read not served by a patch, a
+//! write, a fill, or a patch merge. Allocating and installing cost no
+//! payload-sized memory, so a large pool of receive buffers that only ever
+//! sees by-reference installs never materializes at all.
+//!
+//! The chunk is also the unit of copy-on-write: one write into a chunk
+//! that a live segment still references clones the *whole* chunk. A pool
+//! of independently reused buffers (NIC rings, eager slots, skbs) must
+//! therefore be one chunk per buffer — allocate it with
+//! [`GuestMem::alloc_pool`], which keeps the buffers address-contiguous so
+//! one region (and one MR) still spans the pool. [`GuestMem::stats`]
+//! counts the copies, so a pool allocated as one chunk shows up as
+//! `cow_bytes` far above the payload it carries.
+//!
 //! None of this is visible in virtual time — reads and writes are
 //! instantaneous model operations either way — so simulation results are
 //! bit-identical to the copying implementation; only wall-clock time and
@@ -228,45 +245,111 @@ struct Patch {
     seg: PayloadSeg,
 }
 
+/// Copy counters of one [`GuestMem`] arena, read through
+/// [`GuestMem::stats`].
+///
+/// They count host-side work only; nothing in the model reads them, so
+/// reading them cannot change a simulated result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemStats {
+    /// Copy-on-write clones: writes into a chunk a live segment still
+    /// referenced.
+    pub cow_clones: u64,
+    /// Bytes copied by those clones (whole chunks).
+    pub cow_bytes: u64,
+    /// Reads spanning chunks, served by a gather copy.
+    pub gather_copies: u64,
+    /// Merges of installed patches back into a chunk's backing buffer.
+    pub patch_merges: u64,
+    /// Backing bytes created on a chunk's first byte-level access.
+    pub materialized_bytes: u64,
+}
+
+impl std::ops::Add for MemStats {
+    type Output = MemStats;
+
+    fn add(self, o: MemStats) -> MemStats {
+        MemStats {
+            cow_clones: self.cow_clones + o.cow_clones,
+            cow_bytes: self.cow_bytes + o.cow_bytes,
+            gather_copies: self.gather_copies + o.gather_copies,
+            patch_merges: self.patch_merges + o.patch_merges,
+            materialized_bytes: self.materialized_bytes + o.materialized_bytes,
+        }
+    }
+}
+
+impl std::iter::Sum for MemStats {
+    fn sum<I: Iterator<Item = MemStats>>(iter: I) -> MemStats {
+        iter.fold(MemStats::default(), |a, b| a + b)
+    }
+}
+
 /// One allocation's backing storage.
 struct Chunk {
     /// First virtual address covered by this chunk.
     base: u64,
-    /// Shared backing buffer; `Rc::strong_count > 1` means live read
-    /// snapshots exist and a write must copy first.
-    data: Rc<Vec<u8>>,
+    /// Length in bytes.
+    len: usize,
+    /// Byte every untouched position reads as.
+    fill: u8,
+    /// Shared backing buffer, created on the first byte-level access
+    /// (demand-zero); `Rc::strong_count > 1` means live read snapshots
+    /// exist and a write must copy first.
+    data: Option<Rc<Vec<u8>>>,
     /// Reference-installed writes not yet merged into `data`, in
     /// application order (later patches shadow earlier ones).
     patches: Vec<Patch>,
 }
 
 impl Chunk {
-    fn len(&self) -> usize {
-        self.data.len()
+    fn end(&self) -> u64 {
+        self.base + self.len as u64
     }
 
-    fn end(&self) -> u64 {
-        self.base + self.len() as u64
+    /// The backing buffer, materialized from the fill byte on first use.
+    fn backing(&mut self, stats: &mut MemStats) -> &mut Rc<Vec<u8>> {
+        let (len, fill) = (self.len, self.fill);
+        self.data.get_or_insert_with(|| {
+            stats.materialized_bytes += len as u64;
+            Rc::new(vec![fill; len])
+        })
     }
 
     /// Mutable access to the backing buffer, cloning it first if any
     /// outstanding [`PayloadSeg`] still references it (copy-on-write).
-    fn data_mut(&mut self) -> &mut Vec<u8> {
-        if Rc::strong_count(&self.data) > 1 {
-            self.data = Rc::new(self.data.as_ref().clone());
+    fn data_mut(&mut self, stats: &mut MemStats) -> &mut Vec<u8> {
+        let data = self.backing(stats);
+        if Rc::strong_count(data) > 1 {
+            stats.cow_clones += 1;
+            stats.cow_bytes += data.len() as u64;
+            *data = Rc::new(data.as_ref().clone());
         }
-        Rc::get_mut(&mut self.data).expect("uniquely owned after COW")
+        Rc::get_mut(data).expect("uniquely owned after COW")
     }
 
     /// Merge all pending patches into the backing buffer.
-    fn merge_patches(&mut self) {
+    fn merge_patches(&mut self, stats: &mut MemStats) {
         if self.patches.is_empty() {
             return;
         }
+        stats.patch_merges += 1;
         let patches = std::mem::take(&mut self.patches);
-        let buf = self.data_mut();
+        let buf = self.data_mut(stats);
         for p in patches {
             buf[p.offset..p.offset + p.seg.len()].copy_from_slice(&p.seg);
+        }
+    }
+
+    /// Merge pending patches if any overlaps `[start, end)` (chunk-relative),
+    /// so the backing buffer holds the current bytes of that range.
+    fn settle(&mut self, start: usize, end: usize, stats: &mut MemStats) {
+        let overlaps = self
+            .patches
+            .iter()
+            .any(|p| p.offset < end && p.offset + p.seg.len() > start);
+        if overlaps {
+            self.merge_patches(stats);
         }
     }
 
@@ -291,30 +374,24 @@ impl Chunk {
     /// existing unshadowed patch for the identical range (the windowed-RPC
     /// case where every message reuses its landing offsets), so
     /// steady-state RX installs never copy and never grow the list.
-    fn install(&mut self, offset: usize, seg: PayloadSeg) {
+    fn install(&mut self, offset: usize, seg: PayloadSeg, stats: &mut MemStats) {
         if let Some(k) = self.unshadowed_patch(offset, seg.len(), PatchRel::Exact) {
             self.patches[k].seg = seg;
             return;
         }
         self.patches.push(Patch { offset, seg });
         if self.patches.len() >= MAX_PATCHES {
-            self.merge_patches();
+            self.merge_patches(stats);
         }
-    }
-
-    /// Whether `[start, end)` (chunk-relative) overlaps any pending patch.
-    fn overlaps_patch(&self, start: usize, end: usize) -> bool {
-        self.patches
-            .iter()
-            .any(|p| p.offset < end && p.offset + p.seg.len() > start)
     }
 }
 
 struct Inner {
     /// Chunks in ascending-address order; addresses are dense, so chunk
-    /// lookup is a binary search over a handful of entries.
+    /// lookup is a binary search.
     chunks: Vec<Chunk>,
     next: u64,
+    stats: MemStats,
 }
 
 impl Inner {
@@ -336,6 +413,20 @@ impl Inner {
             return Err(err);
         }
         Ok(())
+    }
+
+    /// Append a chunk at the allocation frontier; returns its address.
+    fn push_chunk(&mut self, len: usize, fill: u8, data: Option<Rc<Vec<u8>>>) -> u64 {
+        let base = self.next;
+        self.next += len as u64;
+        self.chunks.push(Chunk {
+            base,
+            len,
+            fill,
+            data,
+            patches: Vec::new(),
+        });
+        base
     }
 }
 
@@ -397,33 +488,43 @@ impl GuestMem {
             inner: Rc::new(RefCell::new(Inner {
                 chunks: Vec::new(),
                 next: GUEST_BASE,
+                stats: MemStats::default(),
             })),
         }
     }
 
-    /// Allocate `len` bytes initialized to `fill`.
+    /// Allocate `len` bytes initialized to `fill` (demand-zero: no backing
+    /// memory until first touched).
     pub fn alloc(&self, len: usize, fill: u8) -> MemRegion {
+        let addr = self.inner.borrow_mut().push_chunk(len, fill, None);
+        MemRegion { addr, len }
+    }
+
+    /// Allocate `count` buffers of `len` bytes each, one chunk per buffer,
+    /// back to back; returns the region spanning all of them.
+    ///
+    /// Use this for any pool whose buffers are reused independently: a
+    /// write then copies at most the one buffer a live segment pins, not
+    /// the whole pool. Buffer `i` is `region.slice(i * len, len)`.
+    pub fn alloc_pool(&self, count: usize, len: usize, fill: u8) -> MemRegion {
         let mut inner = self.inner.borrow_mut();
         let addr = inner.next;
-        inner.next += len as u64;
-        inner.chunks.push(Chunk {
-            base: addr,
-            data: Rc::new(vec![fill; len]),
-            patches: Vec::new(),
-        });
-        MemRegion { addr, len }
+        for _ in 0..count {
+            inner.push_chunk(len, fill, None);
+        }
+        MemRegion {
+            addr,
+            len: count * len,
+        }
     }
 
     /// Allocate and initialize from a slice.
     pub fn alloc_from(&self, data: &[u8]) -> MemRegion {
-        let mut inner = self.inner.borrow_mut();
-        let addr = inner.next;
-        inner.next += data.len() as u64;
-        inner.chunks.push(Chunk {
-            base: addr,
-            data: Rc::new(data.to_vec()),
-            patches: Vec::new(),
-        });
+        let backing = Rc::new(data.to_vec());
+        let addr = self
+            .inner
+            .borrow_mut()
+            .push_chunk(data.len(), 0, Some(backing));
         MemRegion {
             addr,
             len: data.len(),
@@ -437,7 +538,8 @@ impl GuestMem {
     /// later writes copy-on-write so the snapshot stays stable. Ranges
     /// spanning allocations fall back to a gather copy.
     pub fn read(&self, addr: u64, len: usize) -> Result<PayloadSeg, MemError> {
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         inner.check(addr, len)?;
         if len == 0 {
             return Ok(PayloadSeg::new(Rc::new(Vec::new()), 0, 0));
@@ -447,39 +549,41 @@ impl GuestMem {
         };
         let chunk = &mut inner.chunks[i];
         let start = (addr - chunk.base) as usize;
-        if start + len <= chunk.len() {
-            if !chunk.patches.is_empty() {
-                // Fast path: a read inside one installed segment (whole
-                // fragment or a header peek) is served by reference, if
-                // nothing later shadows it.
-                if let Some(k) = chunk.unshadowed_patch(start, len, PatchRel::Covering) {
-                    let p = &chunk.patches[k];
-                    return Ok(p.seg.slice(start - p.offset, len));
-                }
-                if chunk.overlaps_patch(start, start + len) {
-                    chunk.merge_patches();
-                }
+        if start + len <= chunk.len {
+            // Fast path: a read inside one installed segment (whole
+            // fragment or a header peek) is served by reference, if
+            // nothing later shadows it.
+            if let Some(k) = chunk.unshadowed_patch(start, len, PatchRel::Covering) {
+                let p = &chunk.patches[k];
+                return Ok(p.seg.slice(start - p.offset, len));
             }
-            return Ok(PayloadSeg::new(Rc::clone(&chunk.data), start, len));
+            chunk.settle(start, start + len, &mut inner.stats);
+            let data = Rc::clone(chunk.backing(&mut inner.stats));
+            return Ok(PayloadSeg::new(data, start, len));
         }
         // Cross-chunk read: gather (cold path; the arena is contiguous).
-        drop(inner);
+        inner.stats.gather_copies += 1;
+        drop(guard);
         let mut out = vec![0u8; len];
-        self.gather(addr, &mut out)?;
+        self.for_each_span(addr, len, |chunk, stats, start, n, done| {
+            chunk.settle(start, start + n, stats);
+            out[done..done + n].copy_from_slice(&chunk.backing(stats)[start..start + n]);
+        })?;
         Ok(PayloadSeg::from(out))
     }
 
     /// Walk the chunks spanning `[addr, addr + len)` in address order,
-    /// calling `op(chunk, start_in_chunk, span_len, done_before)` for each
-    /// span. The single home of the chunk-walk arithmetic shared by
-    /// [`GuestMem::write`], [`GuestMem::fill`], and the gather path.
+    /// calling `op(chunk, stats, start_in_chunk, span_len, done_before)`
+    /// for each span. The single home of the chunk-walk arithmetic shared
+    /// by [`GuestMem::write`], [`GuestMem::fill`], and the gather path.
     fn for_each_span(
         &self,
         addr: u64,
         len: usize,
-        mut op: impl FnMut(&mut Chunk, usize, usize, usize),
+        mut op: impl FnMut(&mut Chunk, &mut MemStats, usize, usize, usize),
     ) -> Result<(), MemError> {
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         let mut done = 0;
         while done < len {
             let a = addr + done as u64;
@@ -488,30 +592,19 @@ impl GuestMem {
             };
             let chunk = &mut inner.chunks[i];
             let start = (a - chunk.base) as usize;
-            let n = (chunk.len() - start).min(len - done);
-            op(chunk, start, n, done);
+            let n = (chunk.len - start).min(len - done);
+            op(chunk, &mut inner.stats, start, n, done);
             done += n;
         }
         Ok(())
     }
 
-    fn gather(&self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
-        self.for_each_span(addr, out.len(), |chunk, start, n, done| {
-            if chunk.overlaps_patch(start, start + n) {
-                chunk.merge_patches();
-            }
-            out[done..done + n].copy_from_slice(&chunk.data[start..start + n]);
-        })
-    }
-
     /// Write `data` at `addr` (copy-on-write if snapshots are live).
     pub fn write(&self, addr: u64, data: &[u8]) -> Result<(), MemError> {
         self.inner.borrow().check(addr, data.len())?;
-        self.for_each_span(addr, data.len(), |chunk, start, n, done| {
-            if chunk.overlaps_patch(start, start + n) {
-                chunk.merge_patches();
-            }
-            chunk.data_mut()[start..start + n].copy_from_slice(&data[done..done + n]);
+        self.for_each_span(addr, data.len(), |chunk, stats, start, n, done| {
+            chunk.settle(start, start + n, stats);
+            chunk.data_mut(stats)[start..start + n].copy_from_slice(&data[done..done + n]);
         })
     }
 
@@ -522,7 +615,8 @@ impl GuestMem {
     /// sender's buffer instead of being copied; the copy happens lazily if
     /// and when the range is next accessed through the byte APIs.
     pub fn install(&self, addr: u64, seg: &PayloadSeg) -> Result<(), MemError> {
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         inner.check(addr, seg.len())?;
         if seg.is_empty() {
             return Ok(());
@@ -535,11 +629,11 @@ impl GuestMem {
         };
         let chunk = &mut inner.chunks[i];
         let start = (addr - chunk.base) as usize;
-        if start + seg.len() <= chunk.len() {
-            chunk.install(start, seg.clone());
+        if start + seg.len() <= chunk.len {
+            chunk.install(start, seg.clone(), &mut inner.stats);
             Ok(())
         } else {
-            drop(inner);
+            drop(guard);
             self.write(addr, seg)
         }
     }
@@ -552,17 +646,20 @@ impl GuestMem {
     /// Fill a region with a byte value.
     pub fn fill(&self, r: MemRegion, v: u8) -> Result<(), MemError> {
         self.inner.borrow().check(r.addr, r.len)?;
-        self.for_each_span(r.addr, r.len, |chunk, start, n, _| {
-            if chunk.overlaps_patch(start, start + n) {
-                chunk.merge_patches();
-            }
-            chunk.data_mut()[start..start + n].fill(v);
+        self.for_each_span(r.addr, r.len, |chunk, stats, start, n, _| {
+            chunk.settle(start, start + n, stats);
+            chunk.data_mut(stats)[start..start + n].fill(v);
         })
     }
 
     /// Total bytes allocated so far.
     pub fn allocated(&self) -> usize {
         (self.inner.borrow().next - GUEST_BASE) as usize
+    }
+
+    /// Copy counters accumulated since the arena was created.
+    pub fn stats(&self) -> MemStats {
+        self.inner.borrow().stats
     }
 }
 
@@ -783,6 +880,80 @@ mod tests {
         dst.install(dr.addr + 1, &src.read_region(b).unwrap())
             .unwrap();
         assert_eq!(&dst.read(dr.addr, 5).unwrap()[..], b"ABBA\0");
+    }
+
+    #[test]
+    fn install_and_patch_served_read_materialize_nothing() {
+        let src = GuestMem::new();
+        let dst = GuestMem::new();
+        let sr = src.alloc_from(b"by reference");
+        let dr = dst.alloc(1 << 20, 0);
+        dst.install(dr.addr + 64, &src.read_region(sr).unwrap())
+            .unwrap();
+        assert_eq!(&dst.read(dr.addr + 67, 9).unwrap()[..], b"reference");
+        assert_eq!(dst.stats(), MemStats::default());
+        assert_eq!(src.stats().materialized_bytes, 0, "alloc_from is eager");
+    }
+
+    #[test]
+    fn untouched_range_reads_the_fill_byte() {
+        let m = GuestMem::new();
+        let r = m.alloc(32, 0x5A);
+        assert_eq!(m.read(r.addr + 3, 5).unwrap(), vec![0x5A; 5]);
+        assert_eq!(m.stats().materialized_bytes, 32);
+    }
+
+    #[test]
+    fn write_fill_and_gather_over_unmaterialized_chunks() {
+        let m = GuestMem::new();
+        let p = m.alloc_pool(4, 4, 1);
+        m.write(p.addr + 2, &[7, 7, 7]).unwrap();
+        m.fill(p.slice(9, 4), 9).unwrap();
+        assert_eq!(
+            &m.read_region(p).unwrap()[..],
+            &[1, 1, 7, 7, 7, 1, 1, 1, 1, 9, 9, 9, 9, 1, 1, 1]
+        );
+        let s = m.stats();
+        assert_eq!(s.gather_copies, 1);
+        assert_eq!(s.materialized_bytes, 16);
+        assert_eq!(s.cow_clones, 0);
+    }
+
+    #[test]
+    fn snapshot_from_lazy_first_read_survives_a_write() {
+        let m = GuestMem::new();
+        let r = m.alloc(8, 4);
+        let snap = m.read_region(r).unwrap();
+        m.write(r.addr, &[0; 8]).unwrap();
+        assert_eq!(snap, vec![4; 8]);
+        assert_eq!(m.read_region(r).unwrap(), vec![0; 8]);
+        assert_eq!((m.stats().cow_clones, m.stats().cow_bytes), (1, 8));
+    }
+
+    #[test]
+    fn pool_buffers_copy_on_write_alone() {
+        let m = GuestMem::new();
+        let pool = m.alloc_pool(64, 256, 0);
+        assert_eq!(pool.len, 64 * 256);
+        assert_eq!(m.allocated(), pool.len);
+        let buf = |i: usize| pool.slice(i * 256, 256);
+        m.write(buf(3).addr, b"in flight").unwrap();
+        let pinned = m.read_region(buf(3)).unwrap();
+        m.write(buf(3).addr, b"reused").unwrap();
+        assert_eq!(&pinned[..9], b"in flight");
+        assert_eq!(m.stats().cow_bytes, 256, "one buffer cloned, not the pool");
+    }
+
+    #[test]
+    fn patch_merges_are_counted() {
+        let src = GuestMem::new();
+        let dst = GuestMem::new();
+        let sr = src.alloc_from(b"abcd");
+        let dr = dst.alloc(16, 0);
+        dst.install(dr.addr + 2, &src.read_region(sr).unwrap())
+            .unwrap();
+        assert_eq!(&dst.read(dr.addr, 8).unwrap()[..], b"\0\0abcd\0\0");
+        assert_eq!(dst.stats().patch_merges, 1);
     }
 
     #[test]

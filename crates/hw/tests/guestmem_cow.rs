@@ -1,8 +1,8 @@
 //! Property test: the copy-on-write [`GuestMem`] is observationally
 //! identical to a naive flat-buffer model that copies on every access.
 //!
-//! A DetRng-driven op sequence (alloc / write / fill / read / zero-copy
-//! install across arenas) runs against both implementations. Two
+//! A DetRng-driven op sequence (alloc / alloc_pool / write / fill / read /
+//! zero-copy install across arenas) runs against both implementations. Two
 //! properties are checked after every step:
 //!
 //! 1. **Byte equivalence** — every read returns exactly the bytes the
@@ -107,15 +107,22 @@ fn cow_guestmem_matches_naive_reference_model() {
     for step in 0..4000 {
         let which = rng.uniform_range(0, 2) as usize;
         match rng.uniform_range(0, 100) {
-            // Occasionally grow an arena (bounded so ranges stay dense).
+            // Occasionally grow an arena by one chunk or a pool of them
+            // (bounded so ranges stay dense).
             0..=4 => {
                 let len = rng.uniform_range(1, 600) as usize;
+                let count = rng.uniform_range(1, 5) as usize;
                 let fill = rng.next_u64() as u8;
                 let a = &mut arenas[which];
                 if a.naive.len() < 16 << 10 {
-                    let r = a.cow.alloc(len, fill);
-                    let addr = a.naive.alloc(len, fill);
+                    let r = if count == 1 {
+                        a.cow.alloc(len, fill)
+                    } else {
+                        a.cow.alloc_pool(count, len, fill)
+                    };
+                    let addr = a.naive.alloc(count * len, fill);
                     assert_eq!(r.addr, addr, "allocation layout must match");
+                    assert_eq!(r.len, count * len);
                 }
             }
             // Byte writes.

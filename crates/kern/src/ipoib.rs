@@ -16,7 +16,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use cord_hw::{Core, GuestMem, MachineSpec, MemRegion};
+use cord_hw::{Core, GuestMem, MachineSpec, MemRegion, MemStats};
 use cord_nic::{
     Access, Cq, Mr, Nic, QpNum, RecvWqe, SendWqe, Sge, Transport, UdDest, VerbsError, WrId,
 };
@@ -136,8 +136,9 @@ impl IpoibStack {
         let kern_mem = GuestMem::new();
         let mtu = spec.ipoib.mtu;
         let rx_pool = spec.nic.rq_depth;
-        // One arena covering all buffers, registered once.
-        let pool = kern_mem.alloc(mtu * (TX_POOL + rx_pool), 0);
+        // One chunk per MTU buffer (a reused skb then copies-on-write only
+        // itself), address-contiguous so one MR covers the pool.
+        let pool = kern_mem.alloc_pool(TX_POOL + rx_pool, mtu, 0);
         let mr = nic
             .mr_table()
             .register(kern_mem.clone(), pool, Access::all());
@@ -281,6 +282,17 @@ impl IpoibStack {
     /// (tx_pkts, rx_pkts) counters.
     pub fn counters(&self) -> (u64, u64) {
         (self.inner.tx_pkts.get(), self.inner.rx_pkts.get())
+    }
+
+    /// Messages with some fragments received but not yet reassembled.
+    /// Zero at the end of a run that delivered everything it sent.
+    pub fn reasm_pending(&self) -> usize {
+        self.inner.reasm.borrow().len()
+    }
+
+    /// Copy counters of the stack's kernel buffer pool.
+    pub fn mem_stats(&self) -> MemStats {
+        self.inner.kern_mem.stats()
     }
 
     fn payload_per_pkt(&self) -> usize {

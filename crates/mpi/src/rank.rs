@@ -232,6 +232,16 @@ impl Comm {
         v.qps.iter().flatten().map(|qp| (node, qp.qpn())).collect()
     }
 
+    /// Copy counters of this rank's guest memory. IPoIB ranks own none:
+    /// their traffic is copied through the node stack's pool, counted by
+    /// `IpoibStack::mem_stats`.
+    pub fn mem_stats(&self) -> MemStats {
+        self.inner
+            .verbs
+            .as_ref()
+            .map_or_else(Default::default, |v| v.ctx.mem().stats())
+    }
+
     /// Model a compute phase of `ns` nanoseconds on this rank's core.
     pub async fn compute_ns(&self, ns: f64) {
         self.inner.core.compute_ns(ns).await;
@@ -544,20 +554,10 @@ async fn create_verbs_world(fabric: &Fabric, nranks: usize, mode: Dataplane) -> 
     for r in 0..nranks {
         let ctx = fabric.new_context(node_of(r, nranks, nodes), mode);
         let cq = ctx.create_cq(8192).await;
-        // Allocate slot-by-slot so each eager slot is its own guest-memory
-        // chunk: copy-on-write then clones at most one SLOT when in-flight
-        // fragments pin a buffer, not the rank's whole arena. Allocations
-        // are address-contiguous, so the spanning region (and the MR over
-        // it) is identical to a single big alloc.
+        // One chunk per eager slot: copy-on-write then clones at most one
+        // SLOT when in-flight fragments pin a buffer, not the whole arena.
         let nslots = (nranks - 1).max(1) * (TX_SLOTS + RX_SLOTS);
-        let first = ctx.alloc(SLOT, 0);
-        for _ in 1..nslots {
-            ctx.alloc(SLOT, 0);
-        }
-        let arena = MemRegion {
-            addr: first.addr,
-            len: nslots * SLOT,
-        };
+        let arena = ctx.mem().alloc_pool(nslots, SLOT, 0);
         let mr = ctx.reg_mr(arena, Access::all()).await;
         raw.push((ctx, cq, arena, mr));
     }

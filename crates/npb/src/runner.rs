@@ -21,6 +21,9 @@ pub struct BenchResult {
     pub gbit_per_rank: f64,
     /// Mean per-rank message rate over the timed region, msgs/s.
     pub msgs_per_rank_s: f64,
+    /// IPoIB messages left part-reassembled when the run ended, summed
+    /// over nodes (0 on the verbs transports).
+    pub ipoib_reasm_pending: usize,
 }
 
 /// Run one iteration of `bench` for `comm`.
@@ -87,6 +90,13 @@ pub fn run_benchmark(
         let _ = sim;
         (runtime, bytes, msgs)
     });
+    let ipoib_reasm_pending = if fabric.has_ipoib() {
+        (0..fabric.nodes())
+            .map(|n| fabric.ipoib(n).reasm_pending())
+            .sum()
+    } else {
+        0
+    };
     let secs = runtime_us / 1e6;
     BenchResult {
         bench,
@@ -97,5 +107,6 @@ pub fn run_benchmark(
         runtime_us,
         gbit_per_rank: (bytes as f64 * 8.0 / nranks as f64) / secs / 1e9,
         msgs_per_rank_s: (msgs as f64 / nranks as f64) / secs,
+        ipoib_reasm_pending,
     }
 }

@@ -31,6 +31,7 @@ fn all_kernels_complete_class_s_cord_and_ipoib() {
         for t in [MpiTransport::Verbs(Dataplane::Cord), MpiTransport::Ipoib] {
             let r = run_benchmark(system_l(), bench, Class::S, 4, t, 2);
             assert!(r.runtime_us > 0.0, "{} over {t}", bench.label());
+            assert_eq!(r.ipoib_reasm_pending, 0, "{} over {t}", bench.label());
         }
     }
 }
@@ -52,8 +53,11 @@ fn rank_constraints_are_applied() {
 /// IPoIB pays heavily on the data-intensive kernel and nothing on EP.
 #[test]
 fn fig6_shape_is_and_ep() {
-    let run =
-        |b: Bench, t: MpiTransport| run_benchmark(system_a(), b, Class::A, 8, t, 7).runtime_us;
+    let run = |b: Bench, t: MpiTransport| {
+        let r = run_benchmark(system_a(), b, Class::A, 8, t, 7);
+        assert_eq!(r.ipoib_reasm_pending, 0, "{} over {t}", b.label());
+        r.runtime_us
+    };
     use MpiTransport::{Ipoib, Verbs};
     let is_rdma = run(Bench::Is, Verbs(Dataplane::Bypass));
     let is_cord = run(Bench::Is, Verbs(Dataplane::Cord));
