@@ -78,6 +78,29 @@ pub struct Cqe {
     pub src_node: Option<usize>,
 }
 
+impl Cqe {
+    /// A completion without immediate data or source fields: every
+    /// requester-side completion, and receive-side errors and flushes.
+    pub fn new(
+        qp: QpNum,
+        wr_id: WrId,
+        status: CqeStatus,
+        opcode: CqeOpcode,
+        byte_len: usize,
+    ) -> Cqe {
+        Cqe {
+            wr_id,
+            status,
+            opcode,
+            byte_len,
+            qp,
+            imm: None,
+            src_qp: None,
+            src_node: None,
+        }
+    }
+}
+
 struct Inner {
     queue: VecDeque<Cqe>,
     capacity: usize,

@@ -34,10 +34,10 @@ use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 use crate::mr::{Mr, MrTable};
 use crate::packet::{NakReason, Packet, PacketKind};
 use crate::qp::{
-    Feedback, PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxMode,
-    RetxState, RxAction, RxKind, RxWindow, TxProgress,
+    Feedback, PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxState,
+    RxAction, RxKind, RxWindow, TxProgress,
 };
-use crate::types::{CqId, NodeId, Opcode, QpNum, QpState, Transport, VerbsError};
+use crate::types::{CqId, NodeId, Opcode, QpNum, QpState, Transport, VerbsError, WrId};
 use crate::wqe::{RecvWqe, SendWqe};
 
 /// Max fragments a QP may transmit before yielding to the round-robin ring.
@@ -474,10 +474,6 @@ fn frag_info(k: &PacketKind) -> Option<(u32, u32)> {
     }
 }
 
-fn push_cqe(cq: &Cq, cqe: Cqe) {
-    cq.push(cqe);
-}
-
 /// Size of a CQE on the wire to host memory.
 const CQE_BYTES: usize = 64;
 
@@ -515,16 +511,8 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
         rx.rtx.clear();
         rx.rtx_mask.clear();
     }
-    let flush_cqe = |qp: &Qp, wr_id, opcode: CqeOpcode| Cqe {
-        wr_id,
-        status: CqeStatus::WrFlushErr,
-        opcode,
-        byte_len: 0,
-        qp: qp.num,
-        imm: None,
-        src_qp: None,
-        src_node: None,
-    };
+    let num = qp.num;
+    let flush_cqe = |wr_id, opcode| Cqe::new(num, wr_id, CqeStatus::WrFlushErr, opcode, 0);
     // Outstanding (already transmitted, awaiting ACK/response) WQEs flush
     // too — IB errors out *every* posted WR, not just the still-queued
     // ones. Drained in message order: HashMap iteration order is not
@@ -534,14 +522,14 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     let acked_msgs: Vec<u64> = acks.iter().map(|(m, _)| *m).collect();
     for (_, pa) in acks {
         if pa.signaled {
-            push_cqe(&qp.send_cq, flush_cqe(qp, pa.wr_id, pa.opcode.into()));
+            qp.send_cq.push(flush_cqe(pa.wr_id, pa.opcode.into()));
         }
     }
     let mut reads: Vec<(u64, PendingRead)> = qp.pending_reads.drain().collect();
     reads.sort_by_key(|(m, _)| *m);
     for (_, pr) in reads {
         if pr.signaled {
-            push_cqe(&qp.send_cq, flush_cqe(qp, pr.wr_id, CqeOpcode::RdmaRead));
+            qp.send_cq.push(flush_cqe(pr.wr_id, CqeOpcode::RdmaRead));
         }
     }
     qp.outstanding_reads = 0;
@@ -550,49 +538,21 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     // whose first pass already has a pending-ack entry drained above.
     if let Some(tx) = qp.tx.take() {
         if tx.wqe.signaled && !acked_msgs.contains(&tx.msg_id) {
-            push_cqe(
-                &qp.send_cq,
-                flush_cqe(qp, tx.wqe.wr_id, tx.wqe.opcode.into()),
-            );
+            qp.send_cq
+                .push(flush_cqe(tx.wqe.wr_id, tx.wqe.opcode.into()));
         }
     }
     // Receive WQEs bound to half-assembled inbound messages were popped
     // from the RQ; flush them (in message order) like the rest of the RQ.
     for asm in qp.rx.drain_open() {
-        push_cqe(&qp.recv_cq, flush_cqe(qp, asm.wqe.wr_id, CqeOpcode::Recv));
+        qp.recv_cq.push(flush_cqe(asm.wqe.wr_id, CqeOpcode::Recv));
     }
     let (sq, rq) = qp.enter_error();
-    for w in sq {
-        if w.signaled {
-            push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: w.wr_id,
-                    status: CqeStatus::WrFlushErr,
-                    opcode: w.opcode.into(),
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
-        }
+    for w in sq.into_iter().filter(|w| w.signaled) {
+        qp.send_cq.push(flush_cqe(w.wr_id, w.opcode.into()));
     }
     for r in rq {
-        push_cqe(
-            &qp.recv_cq,
-            Cqe {
-                wr_id: r.wr_id,
-                status: CqeStatus::WrFlushErr,
-                opcode: CqeOpcode::Recv,
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
+        qp.recv_cq.push(flush_cqe(r.wr_id, CqeOpcode::Recv));
     }
     inner.trace.emit(
         inner.sim.now(),
@@ -603,16 +563,42 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     );
 }
 
-/// ===================== RC retransmission =====================
-///
-/// Sender side of go-back-N. The window holds every unacked WQE in
-/// message order; one timer per QP covers the oldest unacked message and
-/// is re-armed (tombstone-cancel + fresh wheel insert, no allocation) on
-/// every ACK. A timeout or sequence NAK queues every fully transmitted
-/// window entry for replay; the TX scheduler drains that queue ahead of
-/// fresh sends, reusing the original message ids so the receiver's
-/// in-order tracking accepts the replay. Retry exhaustion surfaces as a
-/// `RetryExcErr` completion and flushes the QP.
+/// Give the WR of message `msg_id` its one terminal error completion and
+/// error out an RC QP (a UD QP stays usable). The message's pending ACK
+/// or read and any replay of it mid-segmentation go first, so `flush_qp`
+/// cannot complete the WR a second time.
+fn fail_wr(
+    inner: &Rc<NicInner>,
+    qp: &mut Qp,
+    msg_id: u64,
+    wr_id: WrId,
+    opcode: CqeOpcode,
+    status: CqeStatus,
+) {
+    qp.pending_acks.remove(&msg_id);
+    if qp.pending_reads.remove(&msg_id).is_some() {
+        qp.outstanding_reads -= 1;
+    }
+    if qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
+        qp.tx = None;
+    }
+    qp.send_cq.push(Cqe::new(qp.num, wr_id, status, opcode, 0));
+    if qp.transport == Transport::Rc {
+        flush_qp(inner, qp);
+    }
+}
+
+// ===================== RC retransmission =====================
+//
+// Sender side, shared by go-back-N and selective repeat. The window holds
+// every unacked WQE in message order; one timer per QP covers the oldest
+// unacked message and is re-armed (tombstone-cancel + fresh wheel insert,
+// no allocation) on every ACK. A timeout, sequence NAK or SACK queues the
+// fully transmitted window entries for replay; the TX scheduler's start
+// routine drains that queue ahead of fresh sends, reusing the original
+// message ids so the receiver's window accepts the replay. Retry
+// exhaustion surfaces as a `RetryExcErr` completion and flushes the QP.
+
 /// Reset the QP's retransmit timer to `timeout` from now (cancelling any
 /// pending one); disarms when the window is empty.
 fn arm_retx_timer(inner: &Rc<NicInner>, qp: &mut Qp) {
@@ -673,31 +659,8 @@ fn retx_timeout(inner: &Rc<NicInner>, qpn: QpNum) {
         // Retry exhausted: error completion for the oldest unacked WQE,
         // then flush the QP (IB semantics for transport retry errors).
         let e = rx.window.front().expect("window checked non-empty");
-        let (wr_id, opcode, msg_id) = (e.wqe.wr_id, e.wqe.opcode, e.msg_id);
+        let (wr_id, opcode, msg_id) = (e.wqe.wr_id, e.wqe.opcode.into(), e.msg_id);
         inner.retx_exhausted.set(inner.retx_exhausted.get() + 1);
-        qp.pending_acks.remove(&msg_id);
-        if qp.pending_reads.remove(&msg_id).is_some() {
-            qp.outstanding_reads -= 1;
-        }
-        // The WQE gets its terminal CQE below; if a replay of it is
-        // mid-segmentation, drop that progress so flush_qp cannot emit a
-        // second completion for the same WR.
-        if qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
-            qp.tx = None;
-        }
-        push_cqe(
-            &qp.send_cq,
-            Cqe {
-                wr_id,
-                status: CqeStatus::RetryExcErr,
-                opcode: opcode.into(),
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
         inner.trace.emit(
             inner.sim.now(),
             TraceKind::RetxExhausted {
@@ -705,24 +668,21 @@ fn retx_timeout(inner: &Rc<NicInner>, qpn: QpNum) {
                 qpn: qpn.0,
             },
         );
-        flush_qp(inner, &mut qp);
+        let status = CqeStatus::RetryExcErr;
+        fail_wr(inner, &mut qp, msg_id, wr_id, opcode, status);
         return;
     }
-    let queued = rx.queue_replay();
-    inner.retx_replays.set(inner.retx_replays.get() + queued);
-    arm_retx_timer(inner, &mut qp);
     drop(qp);
-    if queued > 0 {
-        ring_qp(inner, qpn);
-    }
+    retx_go_back(inner, &qp_rc, 0);
 }
 
-/// Go-back-N trigger from a sequence NAK: replay from the responder's
-/// first missing message (`from`) — older window entries were delivered
-/// and their ACKs are merely in flight, so replaying them would waste
-/// bottleneck bandwidth on duplicates. NAK-triggered replays do not
-/// consume retries — only silent timeouts do; ACK progress resets the
-/// count.
+/// Queue the window for replay from message `from` and re-arm the
+/// retransmit timer. A timeout replays the whole window (`from` 0); a
+/// sequence NAK or SACK replays from the responder's first missing
+/// message — older window entries were delivered and their ACKs are
+/// merely in flight, so replaying them would waste bottleneck bandwidth
+/// on duplicates. NAK-triggered replays do not consume retries — only
+/// silent timeouts do; ACK progress resets the count.
 fn retx_go_back(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, from: u64) {
     let qpn = {
         let mut qp = qp_rc.borrow_mut();
@@ -796,7 +756,7 @@ fn rnr_fire(inner: &Rc<NicInner>, qpn: QpNum) {
     retx_go_back(inner, &qp_rc, from);
 }
 
-/// ===================== TX scheduler =====================
+// ===================== TX scheduler =====================
 async fn tx_loop(inner: Rc<NicInner>) {
     loop {
         let qpn = loop {
@@ -868,265 +828,163 @@ enum StartOutcome {
     Consumed(u32),
 }
 
+/// Start the QP's next message. Replays queued by the retransmit path run
+/// ahead of fresh WQEs (the receiver is waiting on exactly those message
+/// ids). Each source is peeked before the per-WQE cost is billed; a
+/// replay queue holding only messages ACKed since it was filled falls
+/// through to the SQ, which bills again. Fresh WQEs and replays then
+/// share one path: local MR check, then a read request or segmentation.
 async fn start_next_wqe(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> StartOutcome {
-    // Go-back-N replays run ahead of fresh sends (the receiver is waiting
-    // on exactly these message ids).
-    if let Some(out) = start_replay(inner, qp_rc).await {
-        return out;
-    }
-    // Peek first: reads may stall without consuming the WQE.
-    {
-        let qp = qp_rc.borrow();
-        match qp.sq.front() {
-            None => return StartOutcome::NothingToDo,
-            Some(w) if w.opcode == Opcode::RdmaRead && qp.outstanding_reads >= qp.max_rd_atomic => {
-                return StartOutcome::StalledOnReads;
+    let mut replay = qp_rc
+        .borrow()
+        .retx
+        .as_ref()
+        .is_some_and(|rx| !rx.rtx.is_empty());
+    // `skip` is `Some` on a replay: the fragments the receiver SACKed.
+    let (wqe, msg_id, skip) = loop {
+        if !replay {
+            // Peek first: reads may stall without consuming the WQE.
+            let qp = qp_rc.borrow();
+            match qp.sq.front() {
+                None => return StartOutcome::NothingToDo,
+                Some(w)
+                    if w.opcode == Opcode::RdmaRead && qp.outstanding_reads >= qp.max_rd_atomic =>
+                {
+                    return StartOutcome::StalledOnReads;
+                }
+                Some(_) => {}
             }
-            Some(_) => {}
         }
-    }
-    // Per-WQE NIC processing cost.
-    inner
-        .tx_pipeline
-        .use_for(inner.pipe_cost(inner.spec.nic.wqe_proc_ns))
-        .await;
-
-    let (wqe, msg_id, peer) = {
+        // Per-WQE NIC processing cost.
+        inner
+            .tx_pipeline
+            .use_for(inner.pipe_cost(inner.spec.nic.wqe_proc_ns))
+            .await;
         let mut qp = qp_rc.borrow_mut();
+        if replay {
+            replay = false;
+            match pop_replay(inner, &mut qp) {
+                Some(next) => break next,
+                None => continue,
+            }
+        }
         let Some(wqe) = qp.sq.pop_front() else {
             return StartOutcome::NothingToDo;
         };
         let msg_id = qp.alloc_msg_id();
-        if qp.transport == Transport::Rc {
-            if let Some(rx) = qp.retx.as_mut() {
-                rx.window.push_back(RetxEntry {
-                    msg_id,
-                    wqe: wqe.clone(),
-                    sent: false,
-                });
-            }
+        if let Some(rx) = qp.retx.as_mut() {
+            rx.window.push_back(RetxEntry {
+                msg_id,
+                wqe: wqe.clone(),
+                sent: false,
+            });
         }
-        let peer = qp.peer;
-        (wqe, msg_id, peer)
+        break (wqe, msg_id, None);
     };
 
     // Local memory validation: TX fetch for sends/writes, local landing
-    // (needs LOCAL_WRITE) for reads.
-    let needs_write = wqe.opcode == Opcode::RdmaRead;
-    let mr = match inner
+    // (needs LOCAL_WRITE) for reads. The region may also vanish between
+    // a message's passes.
+    let is_read = wqe.opcode == Opcode::RdmaRead;
+    let Ok(mr) = inner
         .mrs
-        .check_local(wqe.sge.lkey, wqe.sge.addr, wqe.sge.len, needs_write)
-    {
-        Ok(mr) => mr,
-        Err(_) => {
-            let mut qp = qp_rc.borrow_mut();
-            push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: wqe.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: wqe.opcode.into(),
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
-            if qp.transport == Transport::Rc {
-                flush_qp(inner, &mut qp);
-            }
-            return StartOutcome::Consumed(1);
-        }
+        .check_local(wqe.sge.lkey, wqe.sge.addr, wqe.sge.len, is_read)
+    else {
+        let status = CqeStatus::LocalProtErr;
+        let qp = &mut qp_rc.borrow_mut();
+        fail_wr(inner, qp, msg_id, wqe.wr_id, wqe.opcode.into(), status);
+        return StartOutcome::Consumed(1);
     };
-
-    match wqe.opcode {
-        Opcode::RdmaRead => {
-            let (raddr, rkey) = wqe.remote.expect("validated at post");
-            let (dst_node, dst_qpn) = peer.expect("RC read on connected QP");
-            {
-                let mut qp = qp_rc.borrow_mut();
-                qp.outstanding_reads += 1;
-                qp.pending_reads.insert(
-                    msg_id,
-                    PendingRead {
-                        wr_id: wqe.wr_id,
-                        signaled: wqe.signaled,
-                        addr: wqe.sge.addr,
-                        len: wqe.sge.len,
-                        lkey: wqe.sge.lkey,
-                        next_frag: 0,
-                        got: 0,
-                    },
-                );
-            }
-            let src_qpn = qp_rc.borrow().num;
-            transmit(
-                inner,
-                Packet {
-                    src_node: inner.node,
-                    dst_node,
-                    src_qpn,
-                    dst_qpn,
-                    ecn: false,
-                    kind: PacketKind::ReadReq {
-                        msg_id,
-                        raddr,
-                        rkey,
-                        len: wqe.sge.len,
-                    },
-                },
-            );
-            {
-                let mut qp = qp_rc.borrow_mut();
-                mark_sent_and_arm(inner, &mut qp, msg_id);
-            }
-            StartOutcome::Consumed(1)
-        }
-        Opcode::Send | Opcode::RdmaWrite => {
-            let nfrags = inner.spec.fragments(wqe.sge.len) as u32;
-            qp_rc.borrow_mut().tx = Some(TxProgress {
-                wqe,
-                msg_id,
-                next_frag: 0,
-                nfrags,
-                mem: mr.mem,
-                skip: 0,
-            });
-            StartOutcome::Started
-        }
+    if !is_read {
+        let nfrags = inner.spec.fragments(wqe.sge.len) as u32;
+        qp_rc.borrow_mut().tx = Some(TxProgress {
+            wqe,
+            msg_id,
+            next_frag: 0,
+            nfrags,
+            mem: mr.mem,
+            skip: skip.unwrap_or(0),
+        });
+        return StartOutcome::Started;
     }
+    // A fresh read records its landing zone and response gate; a replay
+    // (its read is in the window, so still pending) asks the responder to
+    // resume at the gate's first missing fragment.
+    let (raddr, rkey) = wqe.remote.expect("validated at post");
+    let (from_frag, src_qpn, peer) = {
+        let mut qp = qp_rc.borrow_mut();
+        let from_frag = match skip {
+            Some(_) => qp.pending_reads[&msg_id].gate.resume_at(),
+            None => {
+                qp.outstanding_reads += 1;
+                let gate = qp.rx.read_gate();
+                let pr = PendingRead {
+                    wr_id: wqe.wr_id,
+                    signaled: wqe.signaled,
+                    addr: wqe.sge.addr,
+                    len: wqe.sge.len,
+                    lkey: wqe.sge.lkey,
+                    gate,
+                };
+                qp.pending_reads.insert(msg_id, pr);
+                0
+            }
+        };
+        (from_frag, qp.num, qp.peer)
+    };
+    let (dst_node, dst_qpn) = peer.expect("RC read on connected QP");
+    transmit(
+        inner,
+        Packet {
+            src_node: inner.node,
+            dst_node,
+            src_qpn,
+            dst_qpn,
+            ecn: false,
+            kind: PacketKind::ReadReq {
+                msg_id,
+                raddr,
+                rkey,
+                len: wqe.sge.len,
+                from_frag,
+            },
+        },
+    );
+    mark_sent_and_arm(inner, &mut qp_rc.borrow_mut(), msg_id);
+    StartOutcome::Consumed(1)
 }
 
-/// Pull the next queued go-back-N replay, if any: re-segment a send/write
-/// from its window snapshot (original message id, payload re-read from
-/// guest memory) or re-issue a read request. Returns `None` when there is
-/// nothing to replay.
-async fn start_replay(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> Option<StartOutcome> {
-    // Cheap peek before billing the pipeline.
-    {
-        let qp = qp_rc.borrow();
-        match &qp.retx {
-            Some(rx) if !rx.rtx.is_empty() => {}
-            _ => return None,
-        }
-    }
-    inner
-        .tx_pipeline
-        .use_for(inner.pipe_cost(inner.spec.nic.wqe_proc_ns))
-        .await;
-    let (msg_id, wqe, peer, qpn, drained, skip) = {
-        let mut qp = qp_rc.borrow_mut();
-        let peer = qp.peer;
-        let qpn = qp.num;
-        let rx = qp.retx.as_mut()?;
-        let mut found = None;
-        while let Some(mid) = rx.rtx.pop_front() {
-            // ACKed while queued for replay: skip.
-            if let Some(e) = rx.window.iter().find(|e| e.msg_id == mid) {
-                found = Some((mid, e.wqe.clone()));
-                break;
-            }
-        }
-        let drained = rx.rtx.is_empty();
-        let (mid, wqe) = found?;
-        // Selective repeat: the receiver's SACK said which fragments it
-        // already holds — this replay pass skips them. Consumed here; a
-        // later round re-learns the (monotonically grown) bitmap from the
-        // next SACK.
-        let skip = rx.rtx_mask.remove(&mid).unwrap_or(0);
-        (mid, wqe, peer, qpn, drained, skip)
-    };
+/// Pop the next queued replay still in the window (messages ACKed while
+/// queued are skipped): its WQE snapshot, message id, and SACK skip mask.
+fn pop_replay(inner: &NicInner, qp: &mut Qp) -> Option<(SendWqe, u64, Option<u64>)> {
+    let qpn = qp.num;
+    let rx = qp.retx.as_mut()?;
+    let (wqe, msg_id) = std::iter::from_fn(|| rx.rtx.pop_front()).find_map(|m| {
+        let e = rx.window.iter().find(|e| e.msg_id == m)?;
+        Some((e.wqe.clone(), m))
+    })?;
+    let now = inner.sim.now();
+    let node = inner.node as u32;
     inner.trace.emit(
-        inner.sim.now(),
+        now,
         TraceKind::ReplayStart {
-            node: inner.node as u32,
+            node,
             qpn: qpn.0,
             msg_seq: msg_id as u32,
         },
     );
-    if drained {
+    if rx.rtx.is_empty() {
         // The last queued message entered replay: the window closes here
         // (the exporter pairs the first ReplayStart with this).
-        inner.trace.emit(
-            inner.sim.now(),
-            TraceKind::ReplayEnd {
-                node: inner.node as u32,
-                qpn: qpn.0,
-            },
-        );
+        inner
+            .trace
+            .emit(now, TraceKind::ReplayEnd { node, qpn: qpn.0 });
     }
-    match wqe.opcode {
-        Opcode::RdmaRead => {
-            // Re-issue the read request iff the read is still outstanding
-            // (its completion may have raced the replay decision).
-            let pending = qp_rc.borrow().pending_reads.contains_key(&msg_id);
-            if pending {
-                let (raddr, rkey) = wqe.remote.expect("validated at post");
-                let (dst_node, dst_qpn) = peer.expect("RC read on connected QP");
-                let src_qpn = qp_rc.borrow().num;
-                transmit(
-                    inner,
-                    Packet {
-                        src_node: inner.node,
-                        dst_node,
-                        src_qpn,
-                        dst_qpn,
-                        ecn: false,
-                        kind: PacketKind::ReadReq {
-                            msg_id,
-                            raddr,
-                            rkey,
-                            len: wqe.sge.len,
-                        },
-                    },
-                );
-            }
-            Some(StartOutcome::Consumed(1))
-        }
-        Opcode::Send | Opcode::RdmaWrite => {
-            let mr = match inner
-                .mrs
-                .check_local(wqe.sge.lkey, wqe.sge.addr, wqe.sge.len, false)
-            {
-                Ok(mr) => mr,
-                Err(_) => {
-                    // The source region vanished between transmissions:
-                    // surface it exactly like a fresh-WQE failure. The
-                    // message's first-pass pending-ack record must go
-                    // first — this CQE is the WR's terminal completion,
-                    // and flush_qp would otherwise emit a second one.
-                    let mut qp = qp_rc.borrow_mut();
-                    qp.pending_acks.remove(&msg_id);
-                    push_cqe(
-                        &qp.send_cq,
-                        Cqe {
-                            wr_id: wqe.wr_id,
-                            status: CqeStatus::LocalProtErr,
-                            opcode: wqe.opcode.into(),
-                            byte_len: 0,
-                            qp: qp.num,
-                            imm: None,
-                            src_qp: None,
-                            src_node: None,
-                        },
-                    );
-                    flush_qp(inner, &mut qp);
-                    return Some(StartOutcome::Consumed(1));
-                }
-            };
-            let nfrags = inner.spec.fragments(wqe.sge.len) as u32;
-            qp_rc.borrow_mut().tx = Some(TxProgress {
-                wqe,
-                msg_id,
-                next_frag: 0,
-                nfrags,
-                mem: mr.mem,
-                skip,
-            });
-            Some(StartOutcome::Started)
-        }
-    }
+    // Selective repeat: the receiver's SACK said which fragments it
+    // already holds. Consumed here; a later round re-learns the
+    // (monotonically grown) bitmap from the next SACK.
+    let skip = rx.rtx_mask.remove(&msg_id).unwrap_or(0);
+    Some((wqe, msg_id, Some(skip)))
 }
 
 /// Emit fragments for the current progress until done or out of budget.
@@ -1306,16 +1164,13 @@ async fn emit_fragments(
                     Transport::Ud => {
                         // UD: local completion once the NIC owns the data.
                         if signaled {
-                            let cqe = Cqe {
+                            let cqe = Cqe::new(
+                                qp.num,
                                 wr_id,
-                                status: CqeStatus::Success,
-                                opcode: opcode.into(),
-                                byte_len: total_len,
-                                qp: qp.num,
-                                imm: None,
-                                src_qp: None,
-                                src_node: None,
-                            };
+                                CqeStatus::Success,
+                                opcode.into(),
+                                total_len,
+                            );
                             let cq = qp.send_cq.clone();
                             drop(qp);
                             deliver_cqe(&inner2, &cq, cqe);
@@ -1355,7 +1210,7 @@ async fn emit_fragments(
     }
 }
 
-/// ===================== RX pipeline =====================
+// ===================== RX pipeline =====================
 async fn rx_loop(inner: Rc<NicInner>) {
     let rx = inner.rx.borrow_mut().take().expect("rx taken once");
     loop {
@@ -1521,7 +1376,8 @@ fn handle_packet(inner: &Rc<NicInner>, pkt: Packet) {
             raddr,
             rkey,
             len,
-        } => handle_read_req(inner, &qp_rc, hdr, msg_id, raddr, rkey, len),
+            from_frag,
+        } => handle_read_req(inner, &qp_rc, hdr, msg_id, raddr, rkey, len, from_frag),
         PacketKind::ReadResp {
             msg_id,
             frag,
@@ -1583,19 +1439,9 @@ fn rx_offer(
 
 /// Error completion for a receive WQE that cannot host its message.
 fn reject_recv(qp: &Qp, rwqe: &RecvWqe) {
-    push_cqe(
-        &qp.recv_cq,
-        Cqe {
-            wr_id: rwqe.wr_id,
-            status: CqeStatus::LocalProtErr,
-            opcode: CqeOpcode::Recv,
-            byte_len: 0,
-            qp: qp.num,
-            imm: None,
-            src_qp: None,
-            src_node: None,
-        },
-    );
+    let status = CqeStatus::LocalProtErr;
+    qp.recv_cq
+        .push(Cqe::new(qp.num, rwqe.wr_id, status, CqeOpcode::Recv, 0));
 }
 
 /// Bind receive WQEs, in message order, to the sends the window offers.
@@ -1862,6 +1708,7 @@ fn handle_write_frag(
     });
 }
 
+#[allow(clippy::too_many_arguments)]
 fn handle_read_req(
     inner: &Rc<NicInner>,
     qp_rc: &Rc<RefCell<Qp>>,
@@ -1870,13 +1717,14 @@ fn handle_read_req(
     raddr: u64,
     rkey: crate::types::RKey,
     len: usize,
+    from_frag: u32,
 ) {
     let dup = match rx_offer(inner, qp_rc, hdr, msg_id, 0, 1, RxKind::Read, len) {
         RxAction::Install { .. } => false,
         // Replayed read request of a delivered message: the response (or
-        // its tail) was lost. Re-streaming is idempotent — the requester
-        // discards fragments it already landed — so serve it again
-        // without re-counting.
+        // its tail) was lost. Re-streaming from the requester's first
+        // missing fragment is idempotent — its gate discards fragments it
+        // already landed — so serve it again without re-counting.
         RxAction::Discard { reack: true } => true,
         RxAction::Discard { reack: false } | RxAction::Unbound => return,
     };
@@ -1897,7 +1745,7 @@ fn handle_read_req(
         let mtu = inner2.spec.nic.mtu;
         let header = inner2.spec.nic.header_bytes;
         let nfrags = inner2.spec.fragments(len) as u32;
-        for frag in 0..nfrags {
+        for frag in from_frag..nfrags {
             let offset = frag as usize * mtu;
             let flen = (len - offset).min(mtu);
             // DCQCN pacing: responder fragments go through the same per-QP
@@ -1964,107 +1812,64 @@ fn handle_read_resp(
     offset: usize,
     payload: PayloadSeg,
 ) {
-    let (pr, last) = {
-        let mut qp = qp_rc.borrow_mut();
-        let mode = qp.retx.as_ref().map(|rx| rx.cfg.mode);
-        match qp.pending_reads.get_mut(&msg_id) {
-            Some(pr) => {
-                let last = match mode {
-                    None => frag + 1 == nfrags,
-                    Some(RetxMode::Sr) if nfrags <= 64 => {
-                        // Out-of-order bitmap: duplicates drop, holes fill
-                        // from the re-served stream, completion fires when
-                        // the bitmap is full.
-                        if pr.got >> frag & 1 == 1 {
-                            return;
-                        }
-                        pr.got |= 1 << frag;
-                        pr.got.count_ones() == nfrags
-                    }
-                    _ => {
-                        // Go-back-N (and >64-fragment reads under
-                        // selective repeat): in-order gate — drop replay
-                        // duplicates and post-loss tails; the retransmit
-                        // timer re-issues the request.
-                        if frag != pr.next_frag {
-                            return;
-                        }
-                        pr.next_frag += 1;
-                        frag + 1 == nfrags
-                    }
-                };
-                (pr.clone(), last)
-            }
-            None => return,
-        }
-    };
-    let mr = match inner
-        .mrs
-        .check_local(pr.lkey, pr.addr + offset as u64, payload.len(), true)
-    {
-        Ok(mr) => mr,
-        Err(_) => {
-            // Landing buffer vanished mid-read: error completion.
-            let mut qp = qp_rc.borrow_mut();
-            qp.pending_reads.remove(&msg_id);
-            qp.outstanding_reads -= 1;
-            push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: pr.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: CqeOpcode::RdmaRead,
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
+    let (wr_id, signaled, addr, len, lkey, last) = {
+        let qp = &mut *qp_rc.borrow_mut();
+        let Some(pr) = qp.pending_reads.get_mut(&msg_id) else {
             return;
+        };
+        let Some(last) = pr.gate.offer(frag, nfrags) else {
+            return;
+        };
+        // A landed response fragment is ACK progress: it resets the retry
+        // count, so a read longer than one replay round can finish.
+        if let Some(rx) = qp.retx.as_mut() {
+            rx.retries = 0;
         }
+        (pr.wr_id, pr.signaled, pr.addr, pr.len, pr.lkey, last)
+    };
+    let dst = addr + offset as u64;
+    let Ok(mr) = inner.mrs.check_local(lkey, dst, payload.len(), true) else {
+        // Landing buffer vanished mid-read.
+        let qp = &mut qp_rc.borrow_mut();
+        fail_wr(
+            inner,
+            qp,
+            msg_id,
+            wr_id,
+            CqeOpcode::RdmaRead,
+            CqeStatus::LocalProtErr,
+        );
+        return;
     };
     let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
     let inner2 = Rc::clone(inner);
     let qp2 = Rc::clone(qp_rc);
-    let dst = pr.addr + offset as u64;
     inner.sim.schedule_at(dma_done, move |_| {
         mr.mem
             .install(dst, &payload)
             .expect("validated landing zone");
-        if last {
-            let qpn = {
-                let mut qp = qp2.borrow_mut();
-                qp.pending_reads.remove(&msg_id);
-                qp.outstanding_reads -= 1;
-                if qp.retx.as_mut().is_some_and(|rx| rx.ack(msg_id)) {
-                    arm_retx_timer(&inner2, &mut qp);
-                }
-                qp.tx_msgs += 1;
-                qp.tx_bytes += pr.len as u64;
-                if pr.signaled {
-                    let cqe = Cqe {
-                        wr_id: pr.wr_id,
-                        status: CqeStatus::Success,
-                        opcode: CqeOpcode::RdmaRead,
-                        byte_len: pr.len,
-                        qp: qp.num,
-                        imm: None,
-                        src_qp: None,
-                        src_node: None,
-                    };
-                    deliver_cqe(&inner2, &qp.send_cq.clone(), cqe);
-                }
-                if qp.stalled_rd {
-                    qp.stalled_rd = false;
-                    Some(qp.num)
-                } else {
-                    None
-                }
-            };
-            if let Some(qpn) = qpn {
-                ring_qp(&inner2, qpn);
-            }
+        if !last {
+            return;
+        }
+        let mut qp = qp2.borrow_mut();
+        // Gone if the QP errored out while the last fragment landed.
+        if qp.pending_reads.remove(&msg_id).is_none() {
+            return;
+        }
+        qp.outstanding_reads -= 1;
+        if qp.retx.as_mut().is_some_and(|rx| rx.ack(msg_id)) {
+            arm_retx_timer(&inner2, &mut qp);
+        }
+        qp.tx_msgs += 1;
+        qp.tx_bytes += len as u64;
+        if signaled {
+            let cqe = Cqe::new(qp.num, wr_id, CqeStatus::Success, CqeOpcode::RdmaRead, len);
+            deliver_cqe(&inner2, &qp.send_cq.clone(), cqe);
+        }
+        if std::mem::take(&mut qp.stalled_rd) {
+            let qpn = qp.num;
+            drop(qp);
+            ring_qp(&inner2, qpn);
         }
     });
 }
@@ -2078,16 +1883,8 @@ fn handle_ack(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64) {
     }
     if let Some(pa) = qp.pending_acks.remove(&msg_id) {
         if pa.signaled {
-            let cqe = Cqe {
-                wr_id: pa.wr_id,
-                status: CqeStatus::Success,
-                opcode: pa.opcode.into(),
-                byte_len: pa.byte_len,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            };
+            let status = CqeStatus::Success;
+            let cqe = Cqe::new(qp.num, pa.wr_id, status, pa.opcode.into(), pa.byte_len);
             let cq = qp.send_cq.clone();
             drop(qp);
             deliver_cqe(inner, &cq, cqe);
@@ -2131,43 +1928,13 @@ fn handle_nak(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, reason
         NakReason::RemoteAccess | NakReason::LengthError => CqeStatus::RemoteAccessErr,
         NakReason::Sequence => unreachable!("handled above"),
     };
-    let mut terminal = false;
-    if let Some(pa) = qp.pending_acks.remove(&msg_id) {
-        terminal = true;
-        push_cqe(
-            &qp.send_cq,
-            Cqe {
-                wr_id: pa.wr_id,
-                status,
-                opcode: pa.opcode.into(),
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
-    } else if let Some(pr) = qp.pending_reads.remove(&msg_id) {
-        terminal = true;
-        qp.outstanding_reads -= 1;
-        push_cqe(
-            &qp.send_cq,
-            Cqe {
-                wr_id: pr.wr_id,
-                status,
-                opcode: CqeOpcode::RdmaRead,
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
+    let wr = match (qp.pending_acks.get(&msg_id), qp.pending_reads.get(&msg_id)) {
+        (Some(pa), _) => Some((pa.wr_id, pa.opcode.into())),
+        (None, Some(pr)) => Some((pr.wr_id, CqeOpcode::RdmaRead)),
+        (None, None) => None,
+    };
+    match wr {
+        Some((wr_id, opcode)) => fail_wr(inner, &mut qp, msg_id, wr_id, opcode, status),
+        None => flush_qp(inner, &mut qp),
     }
-    // If the NAKed WQE just got its terminal CQE, a mid-segmentation
-    // replay of it must not produce a second (flush) completion.
-    if terminal && qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
-        qp.tx = None;
-    }
-    flush_qp(inner, &mut qp);
 }

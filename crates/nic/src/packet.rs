@@ -53,12 +53,15 @@ pub enum PacketKind {
         payload: PayloadSeg,
         imm: Option<u32>,
     },
-    /// RDMA read request (header only).
+    /// RDMA read request (header only). The responder streams the
+    /// response from fragment `from_frag`: 0 on the first pass, the first
+    /// fragment the requester still misses on a replay.
     ReadReq {
         msg_id: u64,
         raddr: u64,
         rkey: RKey,
         len: usize,
+        from_frag: u32,
     },
     /// Fragment of an RDMA read response.
     ReadResp {
@@ -168,6 +171,7 @@ mod tests {
             raddr: 0x1000,
             rkey: RKey(5),
             len: 4096,
+            from_frag: 0,
         });
         assert_eq!(rr.wire_bytes(40), 40);
         let cnp = pkt(PacketKind::Cnp);

@@ -30,16 +30,88 @@ pub struct PendingRead {
     pub addr: u64,
     pub len: usize,
     pub lkey: crate::types::LKey,
-    /// Next response fragment expected, when go-back-N retransmission is
-    /// armed: replay duplicates (`<`) and post-loss tails (`>`) are
-    /// discarded, so completion fires only after a gap-free pass (the
-    /// retransmit timer re-issues the request after a loss).
-    pub next_frag: u32,
-    /// Selective repeat: bitmap of response fragments already landed —
-    /// out-of-order responses install directly and the read completes
-    /// when the bitmap fills (reads over 64 fragments fall back to the
-    /// in-order gate above).
-    pub got: u64,
+    /// Which response fragments may land, under the QP's own receive
+    /// policy. After a loss the retransmit timer re-issues the request
+    /// from the gate's first missing fragment.
+    pub gate: ReadGate,
+}
+
+/// Requester-side gate on one read's response fragments, built by
+/// [`RxWindow::read_gate`] so a read response is accepted under the same
+/// policy as the request messages the QP receives.
+#[derive(Debug, Clone)]
+pub enum ReadGate {
+    /// Retransmission unarmed: every fragment lands.
+    Open,
+    /// In order: only the next expected fragment lands, so replay
+    /// duplicates and post-loss tails drop.
+    InOrder(u32),
+    /// Selective: any fragment not yet held lands, in any order.
+    Selective(FragSet),
+}
+
+impl ReadGate {
+    /// Offer response fragment `frag` of `nfrags`: `None` drops it,
+    /// `Some(completes)` lands it, `completes` once every fragment has.
+    pub fn offer(&mut self, frag: u32, nfrags: u32) -> Option<bool> {
+        match self {
+            ReadGate::Open => Some(frag + 1 == nfrags),
+            ReadGate::InOrder(next) => (frag == *next).then(|| {
+                *next += 1;
+                *next == nfrags
+            }),
+            ReadGate::Selective(got) => {
+                let fresh = got.insert(frag);
+                fresh.then_some(got.count == nfrags)
+            }
+        }
+    }
+
+    /// The first fragment not yet landed: where a replayed read request
+    /// asks the responder to resume.
+    pub fn resume_at(&self) -> u32 {
+        match self {
+            ReadGate::Open => 0,
+            ReadGate::InOrder(next) => *next,
+            ReadGate::Selective(got) => got.first_missing(),
+        }
+    }
+}
+
+/// The fragments of one message held so far: a bitmap, 64 fragments per
+/// word, grown on demand.
+#[derive(Debug, Clone, Default)]
+pub struct FragSet {
+    words: Vec<u64>,
+    count: u32,
+}
+
+impl FragSet {
+    fn has(&self, frag: u32) -> bool {
+        self.words
+            .get(frag as usize / 64)
+            .is_some_and(|w| w >> (frag % 64) & 1 == 1)
+    }
+
+    /// Mark `frag` held; `false` if it already was.
+    fn insert(&mut self, frag: u32) -> bool {
+        let (i, bit) = (frag as usize / 64, 1 << (frag % 64));
+        if i >= self.words.len() {
+            self.words.resize(i + 1, 0);
+        }
+        if self.words[i] & bit != 0 {
+            return false;
+        }
+        self.words[i] |= bit;
+        self.count += 1;
+        true
+    }
+
+    /// The lowest fragment not held.
+    fn first_missing(&self) -> u32 {
+        let full = self.words.iter().take_while(|&&w| w == u64::MAX).count();
+        full as u32 * 64 + self.words.get(full).map_or(0, |w| w.trailing_ones())
+    }
 }
 
 /// Loss-recovery discipline for an RC QP with retransmission armed.
@@ -249,9 +321,7 @@ struct MsgState {
     kind: RxKind,
     nfrags: u32,
     total_len: usize,
-    /// Received-fragment bitmap, 64 fragments per word.
-    received: Vec<u64>,
-    count: u32,
+    received: FragSet,
     /// Sends: whether a receive WQE has been bound (writes/reads: true).
     bound: bool,
     /// Message rejected (length / protection error): drop everything.
@@ -264,15 +334,10 @@ impl MsgState {
             kind,
             nfrags,
             total_len: 0,
-            received: vec![0; (nfrags as usize).div_ceil(64)],
-            count: 0,
+            received: FragSet::default(),
             bound: kind != RxKind::Send,
             poisoned: false,
         }
-    }
-
-    fn has(&self, frag: u32) -> bool {
-        self.received[frag as usize / 64] >> (frag % 64) & 1 == 1
     }
 }
 
@@ -282,9 +347,9 @@ impl Selective {
     }
 
     fn lowest_missing(&self, msg_id: u64) -> u32 {
-        self.msgs.get(&msg_id).map_or(0, |m| {
-            (0..m.nfrags).find(|&f| !m.has(f)).unwrap_or(m.nfrags)
-        })
+        self.msgs
+            .get(&msg_id)
+            .map_or(0, |m| m.received.first_missing())
     }
 }
 
@@ -339,7 +404,9 @@ impl RxWindow {
             return false;
         };
         match s.msgs.get(&msg_id) {
-            Some(m) => m.bound && !m.poisoned && m.count + 1 == m.nfrags && !m.has(frag),
+            Some(m) => {
+                m.bound && !m.poisoned && m.received.count + 1 == m.nfrags && !m.received.has(frag)
+            }
             None => !s.knows(msg_id, self.expected_msg) && nfrags == 1,
         }
     }
@@ -421,14 +488,13 @@ impl RxWindow {
                     .entry(msg_id)
                     .or_insert_with(|| MsgState::new(kind, nfrags));
                 e.total_len = total_len;
-                let action = if e.poisoned || (e.bound && e.has(frag)) {
+                let action = if e.poisoned || (e.bound && e.received.has(frag)) {
                     RxAction::Discard { reack: false }
                 } else if !e.bound {
                     RxAction::Unbound
                 } else {
-                    e.received[frag as usize / 64] |= 1 << (frag % 64);
-                    e.count += 1;
-                    let completes = e.count == e.nfrags;
+                    e.received.insert(frag);
+                    let completes = e.received.count == e.nfrags;
                     if completes {
                         s.msgs.remove(&msg_id);
                         s.done.insert(msg_id);
@@ -451,7 +517,11 @@ impl RxWindow {
                 let feedback =
                     if gap && !self.fb_sent && !matches!(action, RxAction::Discard { .. }) {
                         self.fb_sent = true;
-                        let received = s.msgs.get(&self.expected_msg).map_or(0, |m| m.received[0]);
+                        let received = s
+                            .msgs
+                            .get(&self.expected_msg)
+                            .and_then(|m| m.received.words.first())
+                            .map_or(0, |&w| w);
                         Some(Feedback::Sack {
                             msg_id: self.expected_msg,
                             received,
@@ -572,6 +642,16 @@ impl RxWindow {
             Policy::Selective(s) => std::mem::take(&mut s.open).into_values().collect(),
         }
     }
+
+    /// The gate for the responses to a read this QP issues: ungated,
+    /// in order, or selective, like the window itself.
+    pub fn read_gate(&self) -> ReadGate {
+        match self.policy {
+            Policy::Selective(_) => ReadGate::Selective(FragSet::default()),
+            Policy::InOrder(_) if self.gated => ReadGate::InOrder(0),
+            Policy::InOrder(_) => ReadGate::Open,
+        }
+    }
 }
 
 /// Sender-side retransmission state for one RC QP, armed by
@@ -597,8 +677,6 @@ pub struct RetxState {
     /// First message to replay when the RNR backoff fires (the message
     /// the responder RNR-NAKed).
     pub rnr_from: u64,
-    /// Messages queued for replay over the QP's lifetime (diagnostics).
-    pub replayed: u64,
     /// Sender side, selective repeat: per-message bitmaps of fragments
     /// the receiver SACKed as already held — skipped on replay. Bits are
     /// sticky-correct (an installed fragment never un-installs), so stale
@@ -617,21 +695,15 @@ impl RetxState {
             rnr_retries: 0,
             rnr_timer: None,
             rnr_from: 0,
-            replayed: 0,
             rtx_mask: HashMap::new(),
         }
     }
 
-    /// Queue every fully transmitted unacked message for replay, in
-    /// message order. Returns how many were queued.
-    pub fn queue_replay(&mut self) -> u64 {
-        self.queue_replay_from(0)
-    }
-
-    /// [`RetxState::queue_replay`] restricted to messages at or after
-    /// `from` — a sequence NAK names the responder's first missing
-    /// message, and replaying anything older would only burn bottleneck
-    /// bandwidth on duplicates the receiver discards.
+    /// Queue every fully transmitted unacked message at or after `from`
+    /// for replay, in message order (a timeout replays from 0; a sequence
+    /// NAK names the responder's first missing message, and replaying
+    /// anything older would only burn bottleneck bandwidth on duplicates
+    /// the receiver discards). Returns how many were queued.
     pub fn queue_replay_from(&mut self, from: u64) -> u64 {
         self.rtx.clear();
         let mut n = 0;
@@ -641,7 +713,6 @@ impl RetxState {
                 n += 1;
             }
         }
-        self.replayed += n;
         n
     }
 
@@ -680,9 +751,9 @@ pub struct TxProgress {
     pub nfrags: u32,
     /// Source arena resolved from the WQE's lkey.
     pub mem: cord_hw::GuestMem,
-    /// Selective-repeat replay: bitmap of fragments the receiver SACKed
-    /// as already held — the segmenter skips them (0 on first passes and
-    /// in go-back-N mode; fragments ≥ 64 always transmit).
+    /// Fragments the segmenter skips: on a replay of a message the
+    /// receiver SACKed, the bitmap of fragments it already holds; 0 on
+    /// fresh passes and go-back-N replays. Fragments ≥ 64 always transmit.
     pub skip: u64,
 }
 
@@ -1179,7 +1250,7 @@ mod tests {
                 sent: id <= 3, // msg 4 still streaming
             });
         }
-        assert_eq!(rx.queue_replay(), 3, "only fully-sent entries replay");
+        assert_eq!(rx.queue_replay_from(0), 3, "only fully-sent entries replay");
         assert_eq!(rx.rtx, [1, 2, 3]);
         // ACK for msg 2 (out of order): removed from window and replay
         // queue; retries reset.
@@ -1193,7 +1264,7 @@ mod tests {
             [1, 3, 4]
         );
         // Replay ordering is message order, regardless of ACK history.
-        assert_eq!(rx.queue_replay(), 2);
+        assert_eq!(rx.queue_replay_from(0), 2);
         assert_eq!(rx.rtx, [1, 3]);
     }
 
@@ -1297,5 +1368,29 @@ mod tests {
             }),
             "never-seen msg SACKs an empty bitmap"
         );
+    }
+
+    #[test]
+    fn read_gates_follow_the_receive_policy() {
+        // Unarmed: every fragment lands; the last one completes.
+        let mut g = RxWindow::new(None).read_gate();
+        assert_eq!((g.offer(1, 3), g.offer(2, 3)), (Some(false), Some(true)));
+        // In order: only the next fragment lands, and a replay resumes there.
+        let mut g = RxWindow::new(Some(RetxMode::Gbn)).read_gate();
+        assert_eq!(g.offer(1, 3), None);
+        assert_eq!(g.offer(0, 3), Some(false));
+        assert_eq!(g.offer(0, 3), None);
+        assert_eq!(g.resume_at(), 1);
+        // Selective, past one bitmap word: any order, duplicates drop, and
+        // a replay resumes at the lowest hole.
+        let n = 130;
+        let mut g = RxWindow::new(Some(RetxMode::Sr)).read_gate();
+        for f in (0..n).rev().filter(|&f| f != 64) {
+            assert_eq!(g.offer(f, n), Some(false));
+        }
+        assert_eq!(g.offer(3, n), None);
+        assert_eq!(g.resume_at(), 64);
+        assert_eq!(g.offer(64, n), Some(true));
+        assert_eq!(g.resume_at(), n);
     }
 }

@@ -2,10 +2,10 @@
 
 use cord_hw::{system_l, GuestMem};
 use cord_nic::{
-    build_cluster, Access, Cq, CqeOpcode, CqeStatus, Nic, QpNum, QpState, RecvWqe, SendWqe, Sge,
-    Transport, UdDest, VerbsError, WrId,
+    build_cluster, Access, Cq, CqeOpcode, CqeStatus, Nic, QpNum, QpState, RecvWqe, RetxConfig,
+    SendWqe, Sge, Transport, UdDest, VerbsError, WrId,
 };
-use cord_sim::{Sim, Trace};
+use cord_sim::{Sim, SimDuration, SimTime, Trace};
 
 struct Endpoint {
     nic: Nic,
@@ -872,4 +872,60 @@ fn inline_send_skips_payload_dma() {
         with_inline + 100.0 < without,
         "inline {with_inline} ns vs dma {without} ns"
     );
+}
+
+#[test]
+fn read_landing_failure_completes_once_and_errors_the_qp() {
+    // Two 1 MiB reads in flight; the first one's landing region is
+    // deregistered mid-response. That read gets exactly one terminal
+    // completion — armed, it must not also time out into `RetryExcErr`
+    // off its stale retransmit-window entry — and, armed or not, the RC
+    // QP errors out like a fresh-WQE `LocalProtErr`, flushing the read
+    // behind it.
+    for retx in [Some(RetxConfig::default()), None] {
+        let sim = Sim::new();
+        let (a, b) = rc_pair(&sim);
+        a.nic.set_rc_retx(a.qpn, retx).unwrap();
+        b.nic.set_rc_retx(b.qpn, retx).unwrap();
+        const LEN: usize = 1 << 20;
+        let remote = b.mem.alloc_from(&payload(LEN));
+        let mrb = b
+            .nic
+            .mr_table()
+            .register(b.mem.clone(), remote, Access::all());
+        let read = |wr: u64| {
+            let local = a.mem.alloc(LEN, 0);
+            let mra = a
+                .nic
+                .mr_table()
+                .register(a.mem.clone(), local, Access::all());
+            let sge = Sge {
+                addr: local.addr,
+                len: LEN,
+                lkey: mra.lkey,
+            };
+            let wqe = SendWqe::read(WrId(wr), sge, remote.addr, mrb.rkey);
+            a.nic.post_send(a.qpn, wqe, false).map(|()| mra.lkey)
+        };
+        let doomed = read(1).unwrap();
+        read(2).unwrap();
+        let nic = a.nic.clone();
+        sim.schedule_at(SimTime::ZERO + SimDuration::from_us(20), move |_| {
+            assert!(nic.mr_table().deregister(doomed));
+        });
+        sim.run();
+        let cqes: Vec<_> = a
+            .send_cq
+            .poll(usize::MAX)
+            .iter()
+            .map(|c| (c.wr_id, c.status))
+            .collect();
+        let want = [
+            (WrId(1), CqeStatus::LocalProtErr),
+            (WrId(2), CqeStatus::WrFlushErr),
+        ];
+        assert_eq!(cqes, want, "retx {retx:?}");
+        assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Error);
+        assert!(read(3).is_err(), "an errored QP takes no new WRs");
+    }
 }

@@ -594,3 +594,79 @@ fn arming_retx_after_traffic_is_rejected() {
     // Disarming remains fine.
     a.nic.set_rc_retx(a.qpn, None).unwrap();
 }
+
+/// What [`lossy_reads`] observed: the landed payloads, the reader's
+/// completions as `(wr_id, status)` in completion order, the replay
+/// count, the drop count, and the virtual time the run drained at.
+type ReadRun = (Vec<Vec<u8>>, Vec<(u64, CqeStatus)>, u64, u64, u64);
+
+/// Node 1 RDMA-reads `count` regions of `len` bytes from node 0 across
+/// the lossy dumbbell, so the responses cross the bottleneck and
+/// tail-drop.
+fn lossy_reads(mode: RetxMode, count: usize, len: usize) -> ReadRun {
+    let sim = Sim::new();
+    let (a, b) = lossy_rc_pair(&sim, 10.0, 25_000);
+    let cfg = RetxConfig {
+        mode,
+        ..RetxConfig::default()
+    };
+    a.nic.set_rc_retx(a.qpn, Some(cfg)).unwrap();
+    b.nic.set_rc_retx(b.qpn, Some(cfg)).unwrap();
+    let mut dsts: Vec<MemRegion> = Vec::new();
+    for i in 0..count {
+        let src = a.mem.alloc_from(&pattern(i, len));
+        let dst = b.mem.alloc(len, 0);
+        let mra = a.nic.mr_table().register(a.mem.clone(), src, Access::all());
+        let mrb = b.nic.mr_table().register(b.mem.clone(), dst, Access::all());
+        let sge = Sge {
+            addr: dst.addr,
+            len,
+            lkey: mrb.lkey,
+        };
+        let wqe = SendWqe::read(WrId(i as u64), sge, src.addr, mra.rkey);
+        b.nic.post_send(b.qpn, wqe, false).unwrap();
+        dsts.push(dst);
+    }
+    sim.run();
+    let cqes = b.send_cq.poll(usize::MAX);
+    let payloads = dsts
+        .iter()
+        .map(|dst| b.mem.read(dst.addr, len).unwrap()[..].to_vec())
+        .collect();
+    (
+        payloads,
+        cqes.iter().map(|c| (c.wr_id.0, c.status)).collect(),
+        b.nic.retx_stats().0,
+        b.nic.network().total_drops(),
+        sim.now().as_ps(),
+    )
+}
+
+#[test]
+fn lossy_reads_resume_at_the_first_missing_fragment() {
+    // A replayed read request asks the responder to resume at the
+    // requester's first missing response fragment. Re-streaming from
+    // fragment 0 instead would meet the same deterministic tail drop
+    // every round, so a read larger than the bottleneck buffer could
+    // never complete.
+    for mode in [RetxMode::Gbn, RetxMode::Sr] {
+        for (count, len) in [(12, 16 * 1024), (1, 128 * 1024), (1, 1 << 20)] {
+            let run = lossy_reads(mode, count, len);
+            let (payloads, mut cqes, replays, drops, _) = run.clone();
+            let case = format!("{mode} {count} x {len} B");
+            assert!(drops > 0 && replays > 0, "{case}: responses must drop");
+            // One completion per WR, every one a success (selective repeat
+            // may complete reads out of order).
+            cqes.sort_unstable_by_key(|&(wr, _)| wr);
+            let want: Vec<_> = (0..count as u64).map(|i| (i, CqeStatus::Success)).collect();
+            assert_eq!(cqes, want, "{case}");
+            for (i, p) in payloads.iter().enumerate() {
+                assert!(p[..] == pattern(i, len)[..], "{case}: read {i} corrupted");
+            }
+            assert!(
+                run == lossy_reads(mode, count, len),
+                "{case}: nondeterministic"
+            );
+        }
+    }
+}
