@@ -10,11 +10,10 @@
 //! 3. **KPTI**: what re-enabling page-table isolation (the §5 mitigation
 //!    both testbeds disable) would cost CoRD.
 
-use cord_bench::{iters_for, pow2_sizes, print_table, save_json};
+use cord_bench::{iters_for, par_map, pow2_sizes, print_table, save_json};
 use cord_hw::system_l;
 use cord_perftest::{run_test, TestOp, TestSpec};
 use cord_verbs::Dataplane;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,24 +26,21 @@ struct Ablation {
 fn main() {
     // --- 1. Breaking point ----------------------------------------------
     let sizes = pow2_sizes(8, 1 << 16);
-    let rels: Vec<(usize, f64)> = sizes
-        .par_iter()
-        .map(|&size| {
-            let iters = iters_for(size, 64 << 20, 150, 1500);
-            let run = |c, s2| {
-                run_test(
-                    system_l(),
-                    TestSpec::new(TestOp::SendBw)
-                        .size(size)
-                        .iters(iters)
-                        .modes(c, s2),
-                    3,
-                )
-            };
-            use Dataplane::{Bypass as BP, Cord as CD};
-            (size, run(CD, CD).bw_gbps / run(BP, BP).bw_gbps)
-        })
-        .collect();
+    let rels: Vec<(usize, f64)> = par_map(&sizes, |&size| {
+        let iters = iters_for(size, 64 << 20, 150, 1500);
+        let run = |c, s2| {
+            run_test(
+                system_l(),
+                TestSpec::new(TestOp::SendBw)
+                    .size(size)
+                    .iters(iters)
+                    .modes(c, s2),
+                3,
+            )
+        };
+        use Dataplane::{Bypass as BP, Cord as CD};
+        (size, run(CD, CD).bw_gbps / run(BP, BP).bw_gbps)
+    });
     let rows: Vec<Vec<String>> = rels
         .iter()
         .map(|(s, r)| vec![format!("{s}"), format!("{r:.3}")])

@@ -8,10 +8,9 @@
 //! Paper reference values (Fig. 1a): baseline 0.99/1.95/86 µs; no-KB
 //! 1.06/1.95/86; no-polling 4.69/4.16/90; no-ZC 1.03/2.31/229.
 
-use cord_bench::{iters_for, pow2_sizes, print_table, save_json};
+use cord_bench::{iters_for, par_map, pow2_sizes, print_table, save_json};
 use cord_hw::system_l;
 use cord_perftest::{run_test, EmuKnobs, TestOp, TestSpec};
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,27 +32,25 @@ fn knob_sets() -> Vec<(&'static str, EmuKnobs)> {
 fn main() {
     // --- Fig. 1a: latency table -----------------------------------------
     let lat_sizes = [16usize, 4096, 1 << 20];
-    let lat: Vec<(String, Vec<f64>)> = knob_sets()
-        .par_iter()
-        .map(|(name, knobs)| {
-            let row: Vec<f64> = lat_sizes
-                .iter()
-                .map(|&size| {
-                    run_test(
-                        system_l(),
-                        TestSpec::new(TestOp::SendLat)
-                            .size(size)
-                            .iters(100)
-                            .warmup(10)
-                            .knobs(*knobs),
-                        1,
-                    )
-                    .lat_avg_us
-                })
-                .collect();
-            (name.to_string(), row)
-        })
-        .collect();
+    let knobs = knob_sets();
+    let lat: Vec<(String, Vec<f64>)> = par_map(&knobs, |(name, knobs)| {
+        let row: Vec<f64> = lat_sizes
+            .iter()
+            .map(|&size| {
+                run_test(
+                    system_l(),
+                    TestSpec::new(TestOp::SendLat)
+                        .size(size)
+                        .iters(100)
+                        .warmup(10)
+                        .knobs(*knobs),
+                    1,
+                )
+                .lat_avg_us
+            })
+            .collect();
+        (name.to_string(), row)
+    });
 
     let rows: Vec<Vec<String>> = lat
         .iter()
@@ -70,48 +67,46 @@ fn main() {
     );
 
     // --- Fig. 1b: relative bandwidth ------------------------------------
+    // One job per (variant, size); the first `sizes.len()` are the baseline.
     let sizes = pow2_sizes(16, 16 << 20);
-    let baselines: Vec<(usize, f64)> = sizes
-        .par_iter()
-        .map(|&size| {
-            let iters = iters_for(size, 256 << 20, 100, 2000);
-            let m = run_test(
-                system_l(),
-                TestSpec::new(TestOp::SendBw).size(size).iters(iters),
-                1,
-            );
-            (size, m.bw_gbps)
+    let jobs: Vec<(EmuKnobs, usize)> = knobs
+        .iter()
+        .flat_map(|&(_, k)| sizes.iter().map(move |&size| (k, size)))
+        .collect();
+    let bw = par_map(&jobs, |&(knobs, size)| {
+        let iters = iters_for(size, 256 << 20, 100, 2000);
+        run_test(
+            system_l(),
+            TestSpec::new(TestOp::SendBw)
+                .size(size)
+                .iters(iters)
+                .knobs(knobs),
+            1,
+        )
+        .bw_gbps
+    });
+    let (baselines, removals) = bw.split_at(sizes.len());
+    let baseline_small = baselines[0];
+    let rel_series: Vec<(String, Vec<(usize, f64)>)> = knobs[1..]
+        .iter()
+        .zip(removals.chunks(sizes.len()))
+        .map(|(&(name, _), bws)| {
+            let rel = sizes
+                .iter()
+                .zip(bws)
+                .zip(baselines)
+                .map(|((&size, bw), base)| (size, bw / base))
+                .collect();
+            (name.to_string(), rel)
         })
         .collect();
-    let baseline_small = baselines[0].1;
-
-    let mut rel_series = Vec::new();
-    for (name, knobs) in knob_sets().into_iter().skip(1) {
-        let series: Vec<(usize, f64)> = sizes
-            .par_iter()
-            .zip(&baselines)
-            .map(|(&size, &(_, base))| {
-                let iters = iters_for(size, 256 << 20, 100, 2000);
-                let m = run_test(
-                    system_l(),
-                    TestSpec::new(TestOp::SendBw)
-                        .size(size)
-                        .iters(iters)
-                        .knobs(knobs),
-                    1,
-                );
-                (size, m.bw_gbps / base)
-            })
-            .collect();
-        rel_series.push((name.to_string(), series));
-    }
 
     let rows: Vec<Vec<String>> = sizes
         .iter()
         .enumerate()
         .map(|(i, &size)| {
             let mut r = vec![format!("{size}")];
-            r.push(format!("{:.2}", baselines[i].1));
+            r.push(format!("{:.2}", baselines[i]));
             for (_, s) in &rel_series {
                 r.push(format!("{:.3}", s[i].1));
             }

@@ -4,11 +4,10 @@
 //! Paper shape: RDMA read with server-side CoRD is free; all other ops
 //! pay ~equally per CoRD side; everything stays under ~1.25 µs.
 
-use cord_bench::{print_table, save_json};
+use cord_bench::{par_map, print_table, save_json};
 use cord_hw::system_l;
 use cord_perftest::{run_test, TestOp, TestSpec};
 use cord_verbs::{Dataplane, Transport};
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,33 +26,30 @@ fn main() {
         (TestOp::SendLat, Transport::Rc, "Send/RC"),
         (TestOp::SendLat, Transport::Ud, "Send/UD"),
     ];
-    let results: Vec<Fig3Row> = combos
-        .par_iter()
-        .map(|&(op, tr, label)| {
-            let lat = |c: Dataplane, s: Dataplane| {
-                run_test(
-                    system_l(),
-                    TestSpec::new(op)
-                        .transport(tr)
-                        .size(4096)
-                        .iters(100)
-                        .warmup(10)
-                        .modes(c, s),
-                    1,
-                )
-                .lat_avg_us
-            };
-            use Dataplane::{Bypass as BP, Cord as CD};
-            let base = lat(BP, BP);
-            Fig3Row {
-                mode: label.to_string(),
-                baseline_us: base,
-                bp_to_cord: lat(BP, CD) - base,
-                cord_to_bp: lat(CD, BP) - base,
-                cord_to_cord: lat(CD, CD) - base,
-            }
-        })
-        .collect();
+    let results: Vec<Fig3Row> = par_map(&combos, |&(op, tr, label)| {
+        let lat = |c: Dataplane, s: Dataplane| {
+            run_test(
+                system_l(),
+                TestSpec::new(op)
+                    .transport(tr)
+                    .size(4096)
+                    .iters(100)
+                    .warmup(10)
+                    .modes(c, s),
+                1,
+            )
+            .lat_avg_us
+        };
+        use Dataplane::{Bypass as BP, Cord as CD};
+        let base = lat(BP, BP);
+        Fig3Row {
+            mode: label.to_string(),
+            baseline_us: base,
+            bp_to_cord: lat(BP, CD) - base,
+            cord_to_bp: lat(CD, BP) - base,
+            cord_to_cord: lat(CD, CD) - base,
+        }
+    });
 
     let rows: Vec<Vec<String>> = results
         .iter()

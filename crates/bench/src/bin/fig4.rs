@@ -5,11 +5,10 @@
 //! Paper anchors: bypass small-message rate ~12.5 M/s; send at 32 KiB
 //! ~370 k msg/s with only 1% degradation; UD capped at the 4 KiB MTU.
 
-use cord_bench::{iters_for, pow2_sizes, print_table, save_json};
+use cord_bench::{iters_for, par_map, pow2_sizes, print_table, save_json};
 use cord_hw::system_l;
 use cord_perftest::{run_test, TestOp, TestSpec};
 use cord_verbs::{Dataplane, Transport};
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,39 +32,46 @@ fn main() {
         (TestOp::SendBw, Transport::Ud, "Send/UD"),
     ];
     let sizes = pow2_sizes(8, 1 << 18);
+    // UD is capped at the 4 KiB MTU.
+    let sizes_for = |tr: Transport| {
+        sizes
+            .iter()
+            .copied()
+            .filter(move |&s| tr != Transport::Ud || s <= 4096)
+    };
+    // One job per (combo, size), in combo-major order.
+    let jobs: Vec<_> = combos
+        .iter()
+        .flat_map(|&combo| sizes_for(combo.1).map(move |size| (combo, size)))
+        .collect();
+    let mut points = par_map(&jobs, |&((op, tr, _), size)| {
+        let iters = iters_for(size, 128 << 20, 150, 2500);
+        let run = |c, s2| {
+            run_test(
+                system_l(),
+                TestSpec::new(op)
+                    .transport(tr)
+                    .size(size)
+                    .iters(iters)
+                    .modes(c, s2),
+                1,
+            )
+        };
+        use Dataplane::{Bypass as BP, Cord as CD};
+        let bp = run(BP, BP);
+        let cd = run(CD, CD);
+        Fig4Point {
+            size,
+            relative: cd.bw_gbps / bp.bw_gbps,
+            bypass_mrate_mps: bp.mrate_mps,
+        }
+    })
+    .into_iter();
     let all: Vec<Fig4Series> = combos
-        .par_iter()
-        .map(|&(op, tr, label)| {
-            let points: Vec<Fig4Point> = sizes
-                .par_iter()
-                .filter(|&&s| tr != Transport::Ud || s <= 4096)
-                .map(|&size| {
-                    let iters = iters_for(size, 128 << 20, 150, 2500);
-                    let run = |c, s2| {
-                        run_test(
-                            system_l(),
-                            TestSpec::new(op)
-                                .transport(tr)
-                                .size(size)
-                                .iters(iters)
-                                .modes(c, s2),
-                            1,
-                        )
-                    };
-                    use Dataplane::{Bypass as BP, Cord as CD};
-                    let bp = run(BP, BP);
-                    let cd = run(CD, CD);
-                    Fig4Point {
-                        size,
-                        relative: cd.bw_gbps / bp.bw_gbps,
-                        bypass_mrate_mps: bp.mrate_mps,
-                    }
-                })
-                .collect();
-            Fig4Series {
-                mode: label.to_string(),
-                points,
-            }
+        .iter()
+        .map(|&(_, tr, label)| Fig4Series {
+            mode: label.to_string(),
+            points: points.by_ref().take(sizes_for(tr).count()).collect(),
         })
         .collect();
 

@@ -4,12 +4,11 @@
 //!     because the CoRD prototype lacks inline sends;
 //! (b) relative throughput vs size (recovers by ~2¹⁶).
 
-use cord_bench::{iters_for, pow2_sizes, print_table, save_json};
+use cord_bench::{iters_for, par_map, pow2_sizes, print_table, save_json};
 use cord_hw::system_a;
 use cord_perftest::{run_test, TestOp, TestSpec};
 use cord_sim::stats::split_modes;
 use cord_verbs::{Dataplane, Transport};
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,30 +35,41 @@ fn main() {
     ];
     // --- Fig. 5a: latency overhead vs size ------------------------------
     let lat_sizes = pow2_sizes(64, 1 << 13);
+    // UD is capped at the 4 KiB MTU.
+    let lat_sizes_for = |tr: Transport| {
+        lat_sizes
+            .iter()
+            .copied()
+            .filter(move |&s| tr != Transport::Ud || s <= 4096)
+    };
+    // One job per (combo, size), in combo-major order.
+    let lat_jobs: Vec<_> = lat_combos
+        .iter()
+        .flat_map(|&combo| lat_sizes_for(combo.1).map(move |size| (combo, size)))
+        .collect();
+    let mut overheads = par_map(&lat_jobs, |&((op, tr, _), size)| {
+        let lat = |c, s2, seed| {
+            run_test(
+                system_a(),
+                TestSpec::new(op)
+                    .transport(tr)
+                    .size(size)
+                    .iters(120)
+                    .warmup(12)
+                    .modes(c, s2),
+                seed,
+            )
+            .lat_avg_us
+        };
+        use Dataplane::{Bypass as BP, Cord as CD};
+        (size, lat(CD, CD, 5) - lat(BP, BP, 5))
+    })
+    .into_iter();
     let fig5a: Vec<Fig5a> = lat_combos
-        .par_iter()
-        .map(|&(op, tr, label)| {
-            let points: Vec<(usize, f64)> = lat_sizes
-                .par_iter()
-                .filter(|&&s| tr != Transport::Ud || s <= 4096)
-                .map(|&size| {
-                    let lat = |c, s2, seed| {
-                        run_test(
-                            system_a(),
-                            TestSpec::new(op)
-                                .transport(tr)
-                                .size(size)
-                                .iters(120)
-                                .warmup(12)
-                                .modes(c, s2),
-                            seed,
-                        )
-                        .lat_avg_us
-                    };
-                    use Dataplane::{Bypass as BP, Cord as CD};
-                    (size, lat(CD, CD, 5) - lat(BP, BP, 5))
-                })
-                .collect();
+        .iter()
+        .map(|&(_, tr, label)| {
+            let points: Vec<(usize, f64)> =
+                overheads.by_ref().take(lat_sizes_for(tr).count()).collect();
             let samples: Vec<f64> = points.iter().map(|p| p.1).collect();
             let split = split_modes(&samples);
             let (lo, hi, bimodal) = split
@@ -95,38 +105,39 @@ fn main() {
 
     // --- Fig. 5b: relative throughput ------------------------------------
     let bw_sizes = pow2_sizes(1 << 12, 1 << 17);
-    let fig5b: Vec<Fig5b> = [
+    let bw_combos = [
         (TestOp::ReadBw, Transport::Rc, "Read/RC"),
         (TestOp::WriteBw, Transport::Rc, "Write/RC"),
         (TestOp::SendBw, Transport::Rc, "Send/RC"),
-    ]
-    .par_iter()
-    .map(|&(op, tr, label)| {
-        let points: Vec<(usize, f64)> = bw_sizes
-            .par_iter()
-            .map(|&size| {
-                let iters = iters_for(size, 128 << 20, 150, 1500);
-                let run = |c, s2| {
-                    run_test(
-                        system_a(),
-                        TestSpec::new(op)
-                            .transport(tr)
-                            .size(size)
-                            .iters(iters)
-                            .modes(c, s2),
-                        9,
-                    )
-                };
-                use Dataplane::{Bypass as BP, Cord as CD};
-                (size, run(CD, CD).bw_gbps / run(BP, BP).bw_gbps)
-            })
-            .collect();
-        Fig5b {
+    ];
+    let bw_jobs: Vec<_> = bw_combos
+        .iter()
+        .flat_map(|&(op, tr, _)| bw_sizes.iter().map(move |&size| (op, tr, size)))
+        .collect();
+    let rels = par_map(&bw_jobs, |&(op, tr, size)| {
+        let iters = iters_for(size, 128 << 20, 150, 1500);
+        let run = |c, s2| {
+            run_test(
+                system_a(),
+                TestSpec::new(op)
+                    .transport(tr)
+                    .size(size)
+                    .iters(iters)
+                    .modes(c, s2),
+                9,
+            )
+        };
+        use Dataplane::{Bypass as BP, Cord as CD};
+        (size, run(CD, CD).bw_gbps / run(BP, BP).bw_gbps)
+    });
+    let fig5b: Vec<Fig5b> = bw_combos
+        .iter()
+        .zip(rels.chunks(bw_sizes.len()))
+        .map(|(&(_, _, label), points)| Fig5b {
             mode: label.to_string(),
-            points,
-        }
-    })
-    .collect();
+            points: points.to_vec(),
+        })
+        .collect();
 
     for s in &fig5b {
         let rows: Vec<Vec<String>> = s

@@ -5,12 +5,11 @@
 //! DVFS/turbo interaction); IPoIB up to 2× slower, worst on the
 //! simultaneously data- and message-intensive IS and SP.
 
-use cord_bench::{print_table, save_json};
+use cord_bench::{par_map, print_table, save_json};
 use cord_hw::system_a;
 use cord_mpi::MpiTransport;
 use cord_npb::{run_benchmark, Bench, Class};
 use cord_verbs::Dataplane;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -31,24 +30,21 @@ fn main() {
         .unwrap_or(32);
     let class = Class::A;
 
-    let results: Vec<Fig6Row> = Bench::ALL
-        .par_iter()
-        .map(|&bench| {
-            let run = |t| run_benchmark(system_a(), bench, class, ranks, t, 42);
-            let rdma = run(MpiTransport::Verbs(Dataplane::Bypass));
-            let cord = run(MpiTransport::Verbs(Dataplane::Cord));
-            let ipoib = run(MpiTransport::Ipoib);
-            Fig6Row {
-                bench: bench.label().to_string(),
-                nranks: rdma.nranks,
-                rdma_us: rdma.runtime_us,
-                cord_rel: cord.runtime_us / rdma.runtime_us,
-                ipoib_rel: ipoib.runtime_us / rdma.runtime_us,
-                gbit_per_rank: rdma.gbit_per_rank,
-                msgs_per_rank_s: rdma.msgs_per_rank_s,
-            }
-        })
-        .collect();
+    let results: Vec<Fig6Row> = par_map(&Bench::ALL, |&bench| {
+        let run = |t| run_benchmark(system_a(), bench, class, ranks, t, 42);
+        let rdma = run(MpiTransport::Verbs(Dataplane::Bypass));
+        let cord = run(MpiTransport::Verbs(Dataplane::Cord));
+        let ipoib = run(MpiTransport::Ipoib);
+        Fig6Row {
+            bench: bench.label().to_string(),
+            nranks: rdma.nranks,
+            rdma_us: rdma.runtime_us,
+            cord_rel: cord.runtime_us / rdma.runtime_us,
+            ipoib_rel: ipoib.runtime_us / rdma.runtime_us,
+            gbit_per_rank: rdma.gbit_per_rank,
+            msgs_per_rank_s: rdma.msgs_per_rank_s,
+        }
+    });
 
     let rows: Vec<Vec<String>> = results
         .iter()

@@ -200,29 +200,8 @@ impl Nic {
         qp.to_rts()
     }
 
-    /// Individual state transitions (for tests of the state machine).
-    pub fn modify_to_init(&self, qpn: QpNum) -> Result<(), VerbsError> {
-        self.qp(qpn)?.borrow_mut().to_init()
-    }
-
-    pub fn modify_to_rtr(
-        &self,
-        qpn: QpNum,
-        peer: Option<(NodeId, QpNum)>,
-    ) -> Result<(), VerbsError> {
-        self.qp(qpn)?.borrow_mut().to_rtr(peer)
-    }
-
-    pub fn modify_to_rts(&self, qpn: QpNum) -> Result<(), VerbsError> {
-        self.qp(qpn)?.borrow_mut().to_rts()
-    }
-
     pub fn qp_state(&self, qpn: QpNum) -> Result<QpState, VerbsError> {
         Ok(self.qp(qpn)?.borrow().state)
-    }
-
-    pub fn qp_transport(&self, qpn: QpNum) -> Result<Transport, VerbsError> {
-        Ok(self.qp(qpn)?.borrow().transport)
     }
 
     /// Select the QP's congestion-control algorithm. For
@@ -285,11 +264,6 @@ impl Nic {
         qp.rx = RxWindow::new(cfg.map(|c| c.mode));
         qp.retx = cfg.map(RetxState::new);
         Ok(())
-    }
-
-    /// Whether RC retransmission is armed on a QP.
-    pub fn qp_retx(&self, qpn: QpNum) -> Result<bool, VerbsError> {
-        Ok(self.qp(qpn)?.borrow().retx.is_some())
     }
 
     /// `(messages queued for replay, QPs that exhausted their retry
@@ -395,12 +369,6 @@ impl Nic {
     /// Add a QP to the TX ring if it is not there already.
     fn ring(&self, qpn: QpNum) {
         ring_qp(&self.inner, qpn);
-    }
-
-    /// Test/diagnostic access to the raw QP (crate-internal).
-    #[doc(hidden)]
-    pub fn qp_handle(&self, qpn: QpNum) -> Option<Rc<RefCell<Qp>>> {
-        self.inner.qp_rc(qpn)
     }
 }
 

@@ -5,6 +5,18 @@
 //! vendored `serde_json` shim renders it. This covers exactly what the
 //! workspace needs — `#[derive(Serialize)]` on plain structs and unit enums,
 //! plus `serde_json::to_string_pretty`.
+//!
+//! The derive understands real serde's `skip_serializing_if` and `flatten`
+//! field attributes; any other `#[serde(...)]` attribute is a compile error
+//! rather than a silently different JSON shape:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Renamed {
+//!     #[serde(rename = "y")]
+//!     x: u32,
+//! }
+//! ```
 
 // `use serde::Serialize` imports both the trait (type namespace) and the
 // derive macro (macro namespace), like real serde.

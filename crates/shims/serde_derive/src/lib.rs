@@ -1,12 +1,22 @@
 //! Minimal `#[derive(Serialize)]` for the vendored serde shim.
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline). Supports
-//! the two shapes the workspace uses: structs with named fields and enums
-//! with unit variants. Generics are not supported.
+//! non-generic structs with named fields and enums with unit variants, plus
+//! two of real serde's field attributes, with real serde's meaning:
+//!
+//! - `#[serde(skip_serializing_if = "path")]` omits the field when
+//!   `path(&self.field)` returns `true` (`Option::is_none`,
+//!   `Vec::is_empty`, ...);
+//! - `#[serde(flatten)]` splices the fields of the field's object into the
+//!   enclosing object, in place; a field that serializes to `null` (a
+//!   `None`) contributes nothing.
+//!
+//! Any other `#[serde(...)]` attribute, and any on the container or on an
+//! enum variant, fails to compile rather than being silently ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (kind, name, body) = parse_item(input);
     let code = match kind.as_str() {
@@ -18,15 +28,64 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("derive(Serialize): generated code parses")
 }
 
+/// The `serde` attributes written on one field.
+#[derive(Default)]
+struct Attrs {
+    skip_if: Option<String>,
+    flatten: bool,
+}
+
+/// Read one attribute (the `[...]` after `#`) into `attrs`, returning
+/// whether it was a `serde` one. Panics on items the shim does not support.
+fn read_attr(attr: Option<TokenTree>, attrs: &mut Attrs) -> bool {
+    let Some(TokenTree::Group(attr)) = attr else {
+        return false;
+    };
+    let mut iter = attr.stream().into_iter();
+    match iter.next() {
+        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
+        _ => return false,
+    }
+    let Some(TokenTree::Group(args)) = iter.next() else {
+        panic!("derive(Serialize): expected `#[serde(...)]`");
+    };
+    let args: Vec<TokenTree> = args.stream().into_iter().collect();
+    for item in args.split(|tt| matches!(tt, TokenTree::Punct(p) if p.as_char() == ',')) {
+        match item {
+            [] => {}
+            [TokenTree::Ident(id)] if id.to_string() == "flatten" => attrs.flatten = true,
+            [TokenTree::Ident(id), TokenTree::Punct(eq), TokenTree::Literal(lit)]
+                if id.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+            {
+                let lit = lit.to_string();
+                let path = lit.strip_prefix('"').and_then(|s| s.strip_suffix('"'));
+                let path =
+                    path.unwrap_or_else(|| panic!("derive(Serialize): {lit} is not a string"));
+                attrs.skip_if = Some(path.to_string());
+            }
+            _ => {
+                let text: TokenStream = item.iter().cloned().collect();
+                panic!("derive(Serialize): unsupported attribute `#[serde({text})]`")
+            }
+        }
+    }
+    true
+}
+
+/// Skip an attribute where `serde` ones are unsupported (types, variants).
+fn reject_serde_attr(attr: Option<TokenTree>, on: &str) {
+    if read_attr(attr, &mut Attrs::default()) {
+        panic!("derive(Serialize): `#[serde(...)]` on {on} is unsupported");
+    }
+}
+
 /// Find `struct`/`enum`, the type name, and the `{ ... }` body, skipping
 /// attributes and visibility.
 fn parse_item(input: TokenStream) -> (String, String, TokenStream) {
     let mut iter = input.into_iter();
     while let Some(tt) = iter.next() {
         match tt {
-            TokenTree::Punct(p) if p.as_char() == '#' => {
-                let _ = iter.next(); // the attribute group
-            }
+            TokenTree::Punct(p) if p.as_char() == '#' => reject_serde_attr(iter.next(), "a type"),
             TokenTree::Ident(id) => {
                 let kw = id.to_string();
                 if kw == "struct" || kw == "enum" {
@@ -58,16 +117,17 @@ fn parse_item(input: TokenStream) -> (String, String, TokenStream) {
     panic!("derive(Serialize): no struct or enum found");
 }
 
-/// Extract named field identifiers from a struct body, skipping attributes,
-/// visibility, and type tokens (tracking `<`/`>` depth so commas inside
-/// generic arguments don't split fields).
-fn struct_fields(body: TokenStream) -> Vec<String> {
+/// Extract named fields and their `serde` attributes from a struct body,
+/// skipping other attributes, visibility, and type tokens (tracking
+/// `<`/`>` depth so commas inside generic arguments don't split fields).
+fn struct_fields(body: TokenStream) -> Vec<(String, Attrs)> {
     let mut fields = Vec::new();
+    let mut attrs = Attrs::default();
     let mut iter = body.into_iter().peekable();
     'outer: while let Some(tt) = iter.next() {
         match tt {
             TokenTree::Punct(p) if p.as_char() == '#' => {
-                let _ = iter.next();
+                read_attr(iter.next(), &mut attrs);
             }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
                 // Skip a following `(crate)`-style restriction, if any.
@@ -78,7 +138,7 @@ fn struct_fields(body: TokenStream) -> Vec<String> {
                 }
             }
             TokenTree::Ident(id) => {
-                fields.push(id.to_string());
+                fields.push((id.to_string(), std::mem::take(&mut attrs)));
                 // Consume `: Type` up to the next top-level comma.
                 let mut angle = 0i32;
                 for tt2 in iter.by_ref() {
@@ -100,20 +160,36 @@ fn struct_fields(body: TokenStream) -> Vec<String> {
 }
 
 fn derive_struct(name: &str, body: TokenStream) -> String {
-    let fields = struct_fields(body);
-    let entries: Vec<String> = fields
+    let stmts: Vec<String> = struct_fields(body)
         .iter()
-        .map(|f| {
-            format!("(::std::string::String::from(\"{f}\"), serde::Serialize::to_value(&self.{f}))")
+        .map(|(f, attrs)| {
+            let value = format!("serde::Serialize::to_value(&self.{f})");
+            let push = if attrs.flatten {
+                format!(
+                    "match {value} {{\n\
+                     \t\t\tserde::Value::Object(kv) => fields.extend(kv),\n\
+                     \t\t\tserde::Value::Null => {{}}\n\
+                     \t\t\tother => panic!(\"flatten: `{name}::{f}` is not an object: {{other:?}}\"),\n\
+                     \t\t}}"
+                )
+            } else {
+                format!("fields.push((::std::string::String::from(\"{f}\"), {value}));")
+            };
+            match &attrs.skip_if {
+                Some(path) => format!("if !{path}(&self.{f}) {{ {push} }}"),
+                None => push,
+            }
         })
         .collect();
     format!(
         "impl serde::Serialize for {name} {{\n\
          \tfn to_value(&self) -> serde::Value {{\n\
-         \t\tserde::Value::Object(vec![{}])\n\
+         \t\tlet mut fields = ::std::vec::Vec::<(::std::string::String, serde::Value)>::new();\n\
+         \t\t{}\n\
+         \t\tserde::Value::Object(fields)\n\
          \t}}\n\
          }}",
-        entries.join(", ")
+        stmts.join("\n\t\t")
     )
 }
 
@@ -125,7 +201,7 @@ fn enum_variants(body: TokenStream) -> Vec<String> {
     while let Some(tt) = iter.next() {
         match tt {
             TokenTree::Punct(p) if p.as_char() == '#' => {
-                let _ = iter.next();
+                reject_serde_attr(iter.next(), "a variant")
             }
             TokenTree::Ident(id) if expect_name => {
                 variants.push(id.to_string());

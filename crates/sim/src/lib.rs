@@ -29,7 +29,7 @@
 //! - [`executor`]: the virtual-time executor ([`Sim`], [`JoinHandle`]).
 //! - [`sync`]: channels, [`sync::Notify`], [`sync::Semaphore`].
 //! - [`resource`]: analytic FIFO servers for links/DMA/pipelines.
-//! - [`stats`]: histograms, online moments, bimodality detection, series.
+//! - [`stats`]: histograms, online moments, bimodality detection.
 //! - [`rng`]: deterministic per-component random streams.
 //! - [`trace`]: typed lifecycle tracing (the observability plane's spine).
 

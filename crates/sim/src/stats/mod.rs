@@ -1,12 +1,10 @@
-//! Measurement collection: online moments, HDR-style histograms,
-//! bimodality detection (for the paper's Fig. 5a), and labelled series.
+//! Measurement collection: online moments, HDR-style histograms, and
+//! bimodality detection (for the paper's Fig. 5a).
 
 mod histogram;
 mod modes;
 mod online;
-mod series;
 
 pub use histogram::Histogram;
 pub use modes::{split_modes, ModeSplit};
 pub use online::OnlineStats;
-pub use series::{Series, SeriesPoint};

@@ -154,7 +154,7 @@ impl TenantStats {
 }
 
 /// Immutable per-tenant scoreboard.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TenantReport {
     /// Tenant (or collective job) name from the spec.
     pub tenant: String,
@@ -181,37 +181,12 @@ pub struct TenantReport {
     /// Payload bits moved per second of the tenant's active span.
     pub goodput_gbps: f64,
     /// Latency objective, µs — only when the tenant declared one.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub slo_us: Option<f64>,
     /// Fraction of completed requests whose sojourn met the objective —
     /// only when the tenant declared one.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub slo_attained: Option<f64>,
-}
-
-// Hand-written so the SLO pair is *omitted* — not serialized as nulls —
-// for tenants without an objective: every pre-existing report must stay
-// byte-identical.
-impl Serialize for TenantReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
-            ("tenant".into(), self.tenant.to_value()),
-            ("issued".into(), self.issued.to_value()),
-            ("completed".into(), self.completed.to_value()),
-            ("dropped".into(), self.dropped.to_value()),
-            ("p50_us".into(), self.p50_us.to_value()),
-            ("p99_us".into(), self.p99_us.to_value()),
-            ("p999_us".into(), self.p999_us.to_value()),
-            ("mean_us".into(), self.mean_us.to_value()),
-            ("max_us".into(), self.max_us.to_value()),
-            ("bytes_moved".into(), self.bytes_moved.to_value()),
-            ("active_ms".into(), self.active_ms.to_value()),
-            ("goodput_gbps".into(), self.goodput_gbps.to_value()),
-        ];
-        if let (Some(slo), Some(attained)) = (self.slo_us, self.slo_attained) {
-            fields.push(("slo_us".into(), slo.to_value()));
-            fields.push(("slo_attained".into(), attained.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
 }
 
 /// Fabric-level loss/pause/retransmission counters, present in a report
@@ -243,9 +218,38 @@ pub struct FabricCounters {
     pub retx_exhausted: u64,
 }
 
+// Hand-written because `Routing` and `RetxMode` come from crates without a
+// serde dependency: they print their `Display` string, and only when not
+// the default.
+impl Serialize for FabricCounters {
+    fn to_value(&self) -> serde::Value {
+        let mut fields = vec![
+            ("pfc".into(), self.pfc.to_value()),
+            ("rc_retx".into(), self.rc_retx.to_value()),
+        ];
+        if self.routing != Routing::Ecmp {
+            fields.push(("routing".into(), self.routing.to_string().to_value()));
+        }
+        if self.retx_mode != RetxMode::Gbn {
+            fields.push(("retx_mode".into(), self.retx_mode.to_string().to_value()));
+        }
+        if let Some(b) = self.buffer_bytes {
+            fields.push(("buffer_bytes".into(), b.to_value()));
+        }
+        fields.extend([
+            ("net_drops".into(), self.net_drops.to_value()),
+            ("net_pauses".into(), self.net_pauses.to_value()),
+            ("net_pause_ms".into(), self.net_pause_ms.to_value()),
+            ("retx_replays".into(), self.retx_replays.to_value()),
+            ("retx_exhausted".into(), self.retx_exhausted.to_value()),
+        ]);
+        serde::Value::Object(fields)
+    }
+}
+
 /// Chaos-plane detection counters, present in a report only when the
 /// scenario carried a non-empty fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ChaosCounters {
     /// Fault events injected (each counted once, at onset).
     pub faults: u64,
@@ -274,7 +278,7 @@ pub struct TenantSeries {
 /// Deterministic time-series telemetry: fixed-cadence samples driven by
 /// the sim clock (never ambient time), present in a report only when the
 /// scenario armed `ScenarioSpec::telemetry`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TelemetryReport {
     /// Sampling cadence, µs of virtual time.
     pub cadence_us: f64,
@@ -286,31 +290,16 @@ pub struct TelemetryReport {
     pub paused_ports: Vec<u64>,
     /// Slowest DCQCN rate across tenant client QPs at each sample,
     /// Gbit/s; `None` when no QP runs DCQCN.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_dcqcn_gbps: Option<Vec<f64>>,
     /// Per-tenant series, in scenario tenant order.
     pub tenants: Vec<TenantSeries>,
 }
 
-impl Serialize for TelemetryReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
-            ("cadence_us".into(), self.cadence_us.to_value()),
-            ("t_us".into(), self.t_us.to_value()),
-            ("max_port_queued".into(), self.max_port_queued.to_value()),
-            ("paused_ports".into(), self.paused_ports.to_value()),
-        ];
-        if let Some(r) = &self.min_dcqcn_gbps {
-            fields.push(("min_dcqcn_gbps".into(), r.to_value()));
-        }
-        fields.push(("tenants".into(), self.tenants.to_value()));
-        serde::Value::Object(fields)
-    }
-}
-
 /// One tenant's recovery verdict after a fault cleared: the time from
 /// clearance until windowed goodput returned to within 10% of the
 /// pre-fault rate (or until the tenant finished everything it had left).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TenantRecovery {
     /// Tenant (or collective job) name from the spec.
     pub tenant: String,
@@ -318,24 +307,12 @@ pub struct TenantRecovery {
     /// completed all requests) after the last fault clearance.
     pub recovered: bool,
     /// Clearance-to-recovery time, µs; absent when not recovered.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub recovery_us: Option<f64>,
 }
 
-impl Serialize for TenantRecovery {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
-            ("tenant".into(), self.tenant.to_value()),
-            ("recovered".into(), self.recovered.to_value()),
-        ];
-        if let Some(us) = self.recovery_us {
-            fields.push(("recovery_us".into(), us.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
 /// Whole-scenario result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioReport {
     /// Scenario name from the spec.
     pub scenario: String,
@@ -351,16 +328,20 @@ pub struct ScenarioReport {
     pub cc: String,
     /// Loss/pause/retransmit counters (`None` for pre-existing
     /// configurations, keeping their JSON byte-identical).
+    #[serde(flatten)]
     pub fabric: Option<FabricCounters>,
     /// Chaos detection counters (`None` with an empty fault schedule,
     /// keeping fault-free JSON byte-identical).
+    #[serde(flatten)]
     pub chaos: Option<ChaosCounters>,
     /// Per-tenant recovery-time verdicts (`None` unless a fault actually
     /// cleared *and* the telemetry samplers were armed to witness the
     /// recovery).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub recovery: Option<Vec<TenantRecovery>>,
     /// Deterministic time series (`None` unless the scenario armed
     /// `ScenarioSpec::telemetry`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub telemetry: Option<TelemetryReport>,
     /// Client connections (QP pairs) the tenants opened.
     pub connections: usize,
@@ -381,73 +362,8 @@ pub struct ScenarioReport {
     /// Per-collective completion/bandwidth/skew rows. Empty (and omitted
     /// from the JSON) when the scenario ran no collectives, keeping every
     /// pre-existing report byte-identical.
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub collectives: Vec<crate::collective::CollectiveReport>,
-}
-
-// Hand-written (rather than derived) so the fabric-counter block is
-// *omitted* — not serialized as nulls — when absent: every scenario that
-// existed before PFC/retransmission must keep byte-identical JSON.
-impl Serialize for ScenarioReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
-            ("scenario".into(), self.scenario.to_value()),
-            ("machine".into(), self.machine.to_value()),
-            ("nodes".into(), self.nodes.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("topology".into(), self.topology.to_value()),
-            ("cc".into(), self.cc.to_value()),
-        ];
-        if let Some(f) = &self.fabric {
-            fields.push(("pfc".into(), f.pfc.to_value()));
-            fields.push(("rc_retx".into(), f.rc_retx.to_value()));
-            if f.routing != Routing::Ecmp {
-                fields.push(("routing".into(), f.routing.to_string().to_value()));
-            }
-            if f.retx_mode != RetxMode::Gbn {
-                fields.push(("retx_mode".into(), f.retx_mode.to_string().to_value()));
-            }
-            if let Some(b) = f.buffer_bytes {
-                fields.push(("buffer_bytes".into(), b.to_value()));
-            }
-            fields.push(("net_drops".into(), f.net_drops.to_value()));
-            fields.push(("net_pauses".into(), f.net_pauses.to_value()));
-            fields.push(("net_pause_ms".into(), f.net_pause_ms.to_value()));
-            fields.push(("retx_replays".into(), f.retx_replays.to_value()));
-            fields.push(("retx_exhausted".into(), f.retx_exhausted.to_value()));
-        }
-        if let Some(c) = &self.chaos {
-            fields.push(("faults".into(), c.faults.to_value()));
-            fields.push(("faults_skipped".into(), c.faults_skipped.to_value()));
-            fields.push(("chaos_reroutes".into(), c.chaos_reroutes.to_value()));
-            fields.push(("chaos_dead_frames".into(), c.chaos_dead_frames.to_value()));
-            fields.push((
-                "chaos_pfc_deadlocks".into(),
-                c.chaos_pfc_deadlocks.to_value(),
-            ));
-        }
-        if let Some(r) = &self.recovery {
-            fields.push(("recovery".into(), r.to_value()));
-        }
-        if let Some(t) = &self.telemetry {
-            fields.push(("telemetry".into(), t.to_value()));
-        }
-        fields.extend([
-            ("connections".into(), self.connections.to_value()),
-            ("qps_created".into(), self.qps_created.to_value()),
-            ("elapsed_ms".into(), self.elapsed_ms.to_value()),
-            ("total_completed".into(), self.total_completed.to_value()),
-            ("total_dropped".into(), self.total_dropped.to_value()),
-            (
-                "total_goodput_gbps".into(),
-                self.total_goodput_gbps.to_value(),
-            ),
-            ("tenants".into(), self.tenants.to_value()),
-        ]);
-        if !self.collectives.is_empty() {
-            fields.push(("collectives".into(), self.collectives.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
 }
 
 impl ScenarioReport {
