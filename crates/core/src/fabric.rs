@@ -154,7 +154,23 @@ struct FabricInner {
     cores_allocated: RefCell<Vec<usize>>,
 }
 
-/// A wired cluster. Cheap to clone (all clones share the cluster).
+// The fabric is the owner of its run: tasks hold `Fabric` and `Sim`
+// clones, so only the shared state knows when the last handle is gone.
+// Shutting the simulation down then drops every task and timer and breaks
+// the executor ↔ task cycle that would otherwise keep the whole cluster
+// alive. The last clone must drop outside the run: inside a task poll,
+// `shutdown` panics. A panic unwinding past the fabric skips the shutdown,
+// since a second panic from a destructor would abort the process.
+impl Drop for FabricInner {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.sim.shutdown();
+        }
+    }
+}
+
+/// A wired cluster. Cheap to clone (all clones share the cluster); the
+/// simulation is shut down when the last clone drops.
 #[derive(Clone)]
 pub struct Fabric {
     inner: std::rc::Rc<FabricInner>,

@@ -30,6 +30,10 @@ mod pool {
         POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
     }
 
+    pub fn clear() {
+        POOL.with(|p| drop(std::mem::take(&mut *p.borrow_mut())));
+    }
+
     pub fn put(mut v: Vec<u8>) {
         if (MIN_CAP..=MAX_CAP).contains(&v.capacity()) {
             v.clear();
@@ -41,6 +45,14 @@ mod pool {
             });
         }
     }
+}
+
+/// Free every buffer in this thread's pool, and the pool's own storage.
+/// The pool keeps up to 256 buffers of up to 64 KiB alive between runs;
+/// tests that count live heap bytes around a run empty it on both sides.
+#[doc(hidden)]
+pub fn clear_pool() {
+    pool::clear();
 }
 
 /// A cheaply clonable, contiguous, immutable chunk of memory.

@@ -29,6 +29,18 @@
 //!   tombstone allocation), entries recycled through the wheel's slab,
 //!   and exact `(deadline, registration-seq)` firing order — bit-identical
 //!   to the binary heap it replaced.
+//!
+//! ## Ownership and teardown
+//!
+//! A [`Sim`] is a cheap handle to shared state, and the task slab and
+//! timer wheel own futures and callbacks that hold handles of their own
+//! (NIC engines, retransmission and congestion-control timers, samplers).
+//! That is a reference cycle: dropping the outside handles frees nothing.
+//! The owner of a run breaks it by calling [`Sim::shutdown`] once the run
+//! is over, which drops every pending task and timer. In the workspace
+//! that owner is `cord-core`'s fabric, whose shared state calls it when
+//! the last fabric handle drops. `Sim`'s own `Drop` never does, since
+//! clones of it live inside the very tasks it would drop.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -284,6 +296,41 @@ struct Inner {
     current_tag: Cell<Subsystem>,
     polls_by: [Cell<u64>; Subsystem::COUNT],
     timer_fires_by: [Cell<u64>; Subsystem::COUNT],
+    /// True while a scheduler step polls tasks or fires a timer;
+    /// [`Sim::shutdown`] refuses to run then.
+    running: Cell<bool>,
+}
+
+/// What [`Sim::shutdown`] dropped: tasks that had not finished and
+/// timers that had not fired.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Teardown {
+    /// Live tasks dropped.
+    pub tasks: usize,
+    /// Pending timers dropped (sleeps and scheduled callbacks).
+    pub timers: usize,
+}
+
+/// Sets [`Inner::running`] for as long as it lives and restores the
+/// previous value on drop, also when a poll or callback unwinds.
+struct Running<'a> {
+    flag: &'a Cell<bool>,
+    prev: bool,
+}
+
+impl<'a> Running<'a> {
+    fn enter(flag: &'a Cell<bool>) -> Self {
+        Running {
+            flag,
+            prev: flag.replace(true),
+        }
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.flag.set(self.prev);
+    }
 }
 
 /// Handle to the simulation. Cheap to clone; all clones share the same
@@ -319,6 +366,7 @@ impl Sim {
                 current_tag: Cell::new(Subsystem::Other),
                 polls_by: Default::default(),
                 timer_fires_by: Default::default(),
+                running: Cell::new(false),
             }),
         }
     }
@@ -576,11 +624,7 @@ impl Sim {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 let mut tasks = self.inner.tasks.borrow_mut();
-                let slot = &mut tasks[id.idx() as usize];
-                slot.cell = None;
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.next_free = self.inner.free_head.get();
-                self.inner.free_head.set(id.idx());
+                self.vacate(&mut tasks[id.idx() as usize], id.idx());
                 self.inner.live.set(self.inner.live.get() - 1);
             }
             Poll::Pending => {
@@ -592,9 +636,18 @@ impl Sim {
         }
     }
 
+    /// Empty slot `idx` onto the free list, returning its task. The
+    /// generation bump makes stale wakes of that task no-ops.
+    fn vacate(&self, slot: &mut TaskSlot, idx: u32) -> Option<TaskCell> {
+        slot.gen = slot.gen.wrapping_add(1);
+        slot.next_free = self.inner.free_head.replace(idx);
+        slot.cell.take()
+    }
+
     /// Execute one scheduler step: drain runnable tasks, then fire the next
     /// timer (advancing the clock). Returns `false` when nothing remains.
     fn step(&self) -> bool {
+        let _running = Running::enter(&self.inner.running);
         let mut progressed = false;
         loop {
             let id = self.inner.ready.borrow_mut().pop_front();
@@ -673,6 +726,73 @@ impl Sim {
     /// Number of live (spawned, not yet finished) tasks.
     pub fn live_tasks(&self) -> usize {
         self.inner.live.get()
+    }
+
+    /// End the run: drop every live task and pending timer, and with them
+    /// the [`Sim`] handles they hold, so the state a run reached is freed
+    /// once the owner's own handles go. Returns what was dropped; a second
+    /// call is a no-op returning zeros. The clock and every counter keep
+    /// their values, and the simulation stays usable.
+    ///
+    /// Panics when called from inside a task poll or a timer callback,
+    /// where it would free the running task's slot under it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::rc::Rc;
+    /// use cord_sim::{Sim, SimDuration};
+    ///
+    /// let sim = Sim::new();
+    /// let marker = Rc::new(());
+    /// let (s, m) = (sim.clone(), Rc::clone(&marker));
+    /// sim.spawn(async move {
+    ///     let _m = m;
+    ///     loop {
+    ///         s.sleep(SimDuration::from_us(1)).await;
+    ///     }
+    /// });
+    /// sim.block_on(async {});
+    /// let dropped = sim.shutdown();
+    /// assert_eq!((dropped.tasks, dropped.timers), (1, 1));
+    /// assert_eq!(Rc::strong_count(&marker), 1);
+    /// ```
+    pub fn shutdown(&self) -> Teardown {
+        assert!(
+            !self.inner.running.get(),
+            "Sim::shutdown called from inside a task poll or timer callback"
+        );
+        let inner = &self.inner;
+        let mut dropped = Teardown::default();
+        // Dropping a future or callback can re-enter the executor: a
+        // `Sleep` cancels into the wheel, a channel end wakes its peer, a
+        // destructor may even spawn. So the live tasks and the pending
+        // timers are moved out and dropped with no borrow held, and the
+        // sweep repeats until a round finds nothing left. Every slot goes
+        // back on the free list with its generation bumped, so wakers of
+        // the dropped tasks stay stale even if the simulation runs on.
+        loop {
+            let mut tasks = Vec::new();
+            let mut slab = inner.tasks.borrow_mut();
+            for (idx, slot) in slab.iter_mut().enumerate() {
+                if slot.cell.is_some() {
+                    tasks.extend(self.vacate(slot, idx as u32));
+                }
+            }
+            drop(slab);
+            inner.live.set(0);
+            let timers = inner.timers.borrow_mut().take_pending();
+            let queued = !inner.ready.borrow().is_empty();
+            if tasks.is_empty() && timers.is_empty() && !queued {
+                return dropped;
+            }
+            dropped.tasks += tasks.len();
+            dropped.timers += timers.len();
+            drop(tasks);
+            drop(timers);
+            // Wakes raised by the drops name tasks that no longer exist.
+            inner.ready.borrow_mut().clear();
+        }
     }
 }
 

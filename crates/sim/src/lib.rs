@@ -29,7 +29,7 @@
 //! - [`executor`]: the virtual-time executor ([`Sim`], [`JoinHandle`]).
 //! - [`sync`]: channels, [`sync::Notify`], [`sync::Semaphore`].
 //! - [`resource`]: analytic FIFO servers for links/DMA/pipelines.
-//! - [`stats`]: histograms, online moments, bimodality detection.
+//! - [`stats`]: histograms, bimodality detection.
 //! - [`rng`]: deterministic per-component random streams.
 //! - [`trace`]: typed lifecycle tracing (the observability plane's spine).
 
@@ -44,7 +44,7 @@ pub mod time;
 pub mod timer;
 pub mod trace;
 
-pub use executor::{JoinHandle, Sim, SimStats, Subsystem, TaskId};
+pub use executor::{JoinHandle, Sim, SimStats, Subsystem, TaskId, Teardown};
 pub use resource::{FifoResource, Grant};
 pub use rng::{DetRng, RngFactory};
 pub use time::{copy_time, transmission_time, SimDuration, SimTime};

@@ -305,6 +305,32 @@ impl<T> TimerWheel<T> {
         self.scan_steps
     }
 
+    /// Empty the wheel and return the payloads of every pending timer,
+    /// in slab order, keeping the cursor and the counters. Every entry is
+    /// freed with its generation bumped, so handles issued before stay
+    /// stale. The caller drops the payloads, outside whatever borrow
+    /// guards `self`.
+    pub fn take_pending(&mut self) -> Vec<T> {
+        let mut pending = Vec::with_capacity(self.len);
+        for idx in 0..self.entries.len() {
+            if matches!(self.entries[idx].loc, Loc::Free { .. }) {
+                continue;
+            }
+            pending.extend(self.entries[idx].payload.take());
+            self.free_entry(idx as u32);
+        }
+        for lv in &mut self.levels {
+            lv.slots.iter_mut().for_each(|slot| slot.h.clear());
+            lv.words = [0; BITMAP_WORDS];
+            lv.summary = 0;
+            lv.members = 0;
+        }
+        self.overflow.clear();
+        self.len = 0;
+        self.cached_min = None;
+        pending
+    }
+
     /// Level for a tick relative to the cursor: the group of the highest
     /// differing bit. The caller has ruled out the overflow range, so the
     /// entry shares all bits above the returned level with the cursor.
@@ -631,6 +657,30 @@ mod tests {
         let h = w.insert(1_000, 0, 7);
         assert_eq!(w.pop().map(|(_, _, p)| p), Some(7));
         assert!(!w.cancel(h));
+    }
+
+    #[test]
+    fn take_pending_empties_the_wheel_and_keeps_cursor_and_counters() {
+        let mut w = TimerWheel::new();
+        w.insert(1_000_000, 0, 0);
+        assert_eq!(w.pop().map(|(_, _, p)| p), Some(0));
+        let stale = w.insert(2_000_000, 1, 1);
+        let cancelled = w.insert(3_000_000, 2, 2);
+        w.insert(HORIZON_TICKS << (GRANULARITY_SHIFT + 1), 3, 3);
+        assert!(w.cancel(cancelled));
+        let (inserts, allocs) = (w.inserts(), w.slab_allocs());
+        assert_eq!(w.take_pending(), vec![1, 3]);
+        assert!(w.is_empty());
+        assert_eq!(w.peek(), None);
+        assert_eq!((w.inserts(), w.slab_allocs()), (inserts, allocs));
+        assert_eq!(w.base, tick_of(1_000_000), "cursor kept");
+        // The freed entries are reused, and the old handles stay stale.
+        w.insert(4_000_000, 4, 4);
+        w.insert(5_000_000, 5, 5);
+        assert!(!w.cancel(stale));
+        assert_eq!(w.slab_allocs(), allocs);
+        let fired: Vec<u32> = drain(&mut w).into_iter().map(|(_, _, p)| p).collect();
+        assert_eq!(fired, vec![4, 5]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Property tests for `cord_sim::stats` against naive reference models.
 //!
-//! The histogram, the online moments, and the bimodality splitter all
-//! trade exactness for O(1) memory; these tests pin *how much* they
-//! trade. Each property draws randomized sample sets from [`DetRng`]
-//! streams (seeded, so failures replay exactly) and compares against
-//! the obvious store-everything model: a sorted `Vec` for quantiles, a
-//! two-pass loop for moments.
+//! The histogram and the bimodality splitter both trade exactness for
+//! O(1) memory; these tests pin *how much* they trade. Each property
+//! draws randomized sample sets from [`DetRng`] streams (seeded, so
+//! failures replay exactly) and compares against the obvious
+//! store-everything model: a sorted `Vec` for quantiles.
 
-use cord_sim::stats::{split_modes, Histogram, OnlineStats};
+use cord_sim::stats::{split_modes, Histogram};
 use cord_sim::DetRng;
 
 /// The reference quantile: the same definition the histogram uses
@@ -116,73 +115,6 @@ fn histogram_merge_equals_single_stream() {
     assert_eq!(merged.max(), whole.max());
     for q in [0.1, 0.5, 0.9, 0.99] {
         assert_eq!(merged.quantile(q), whole.quantile(q), "q={q}");
-    }
-}
-
-#[test]
-fn online_moments_match_the_two_pass_model() {
-    for seed in [11, 0xBEEF] {
-        for (name, xs) in sample_sets(seed, 2000) {
-            let xs: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
-            let mut o = OnlineStats::new();
-            for &x in &xs {
-                o.record(x);
-            }
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-            // Welford is numerically *better* than the naive two-pass sum,
-            // so agreement to a few ulps-worth of relative error is the
-            // right bar — not exactness.
-            assert!(
-                (o.mean() - mean).abs() <= mean.abs() * 1e-9,
-                "{name}: mean {} vs {mean}",
-                o.mean()
-            );
-            assert!(
-                (o.variance() - var).abs() <= var.abs() * 1e-6,
-                "{name}: var {} vs {var}",
-                o.variance()
-            );
-            assert_eq!(o.count(), xs.len() as u64, "{name}");
-            assert_eq!(o.min(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
-            assert_eq!(
-                o.max(),
-                xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            );
-        }
-    }
-}
-
-/// Chan's parallel merge must agree with the sequential fold no matter
-/// where the stream is split.
-#[test]
-fn online_merge_is_split_invariant() {
-    let rng = DetRng::from_seed(0xAB);
-    let xs: Vec<f64> = (0..1000).map(|_| rng.lognormal(5.0, 2.0)).collect();
-    let mut whole = OnlineStats::new();
-    for &x in &xs {
-        whole.record(x);
-    }
-    for split in [1, 17, 500, 999] {
-        let (a, b) = xs.split_at(split);
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in a {
-            left.record(x);
-        }
-        for &x in b {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count(), "split={split}");
-        assert!(
-            (left.mean() - whole.mean()).abs() <= whole.mean().abs() * 1e-9,
-            "split={split}"
-        );
-        assert!(
-            (left.variance() - whole.variance()).abs() <= whole.variance() * 1e-6,
-            "split={split}"
-        );
     }
 }
 
