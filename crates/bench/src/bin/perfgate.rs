@@ -1,11 +1,11 @@
 //! `perfgate` — the CI perf-regression gate over simbench digests.
 //!
 //! ```text
-//! cargo run --release --bin simbench -- --quick
+//! cargo run --release --bin simbench
 //! cargo run --release --bin perfgate
 //! ```
 //!
-//! Compares `results/simbench_digest.txt` (the digest the quick run just
+//! Compares `results/simbench_digest.txt` (the digest simbench just
 //! produced) against the committed `results/simbench_baseline_digest.txt`:
 //! semantic fields (virtual time, completions, goodput, drop/pause/retx
 //! counters) must match byte-exactly; `polls`/`timer_fires` may improve
@@ -14,7 +14,7 @@
 //! Baseline refresh (one line, after an intentional perf/semantic change):
 //!
 //! ```text
-//! cargo run --release --bin simbench -- --quick && cp results/simbench_digest.txt results/simbench_baseline_digest.txt
+//! cargo run --release --bin simbench && cp results/simbench_digest.txt results/simbench_baseline_digest.txt
 //! ```
 
 use cord_bench::gate::check_digests;
@@ -57,7 +57,7 @@ fn main() {
                 eprintln!("  - {v}");
             }
             eprintln!(
-                "refresh after an intentional change:\n  cargo run --release --bin simbench -- --quick && cp {current} {baseline}"
+                "refresh after an intentional change:\n  cargo run --release --bin simbench && cp {current} {baseline}"
             );
             std::process::exit(1);
         }

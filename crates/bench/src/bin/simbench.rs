@@ -1,10 +1,11 @@
-//! `simbench` — wall-clock benchmarks of the simulator core on fixed
-//! loadgen scenarios, persisted as the repo's perf trajectory.
+//! `simbench` — the deterministic digest of the simulator core on fixed
+//! loadgen scenarios, which `perfgate` checks against the committed
+//! baseline.
 //!
 //! ```text
-//! cargo run --release --bin simbench            # full suite
-//! cargo run --release --bin simbench -- --quick # CI smoke (seconds)
+//! cargo run --release --bin simbench            # whole suite
 //! cargo run --release --bin simbench -- incast-dcqcn
+//! cargo run --release --bin simbench -- --trace # plus lifecycle traces
 //! ```
 //!
 //! Every named benchmark pins its scenario spec completely (nodes,
@@ -34,37 +35,33 @@
 //!   KV-cache pushes from the prefill half into the decode half of a
 //!   fat tree under a 250 µs SLO.
 //!
-//! Results land in `results/simbench_<name>.json` (`--quick` writes
-//! `simbench_quick_<name>.json`, so smoke runs never clobber the
-//! committed full-run perf trajectory): wall seconds plus the executor's
-//! own counters (polls/s, timer fires/s). Wall-clock fields are
-//! nondeterministic by nature, so the virtual-time digest every run must
-//! reproduce exactly is written separately to
-//! `results/simbench_digest.txt` — CI runs the bench twice and diffs that
-//! file byte-for-byte.
+//! Each run prints and writes `results/simbench_digest.txt`: one line per
+//! bench with its virtual time, completions, goodput and loss counters
+//! (which must reproduce byte-for-byte) and its executor polls and timer
+//! fires (deterministic for a build; `perfgate` lets them improve and
+//! caps their regression). simbench reads no host clock: wall-time
+//! claims come from perfbench's repeated, host-stamped runs.
 //!
 //! Two observability side-channels ride along without touching the
 //! digest: `results/simbench_attr.txt` attributes every bench's polls
 //! and timer fires to the subsystem that caused them (NIC engines,
 //! switch ports, CPU billing, other — the executor's [`Subsystem`]
 //! tags), and `--trace` arms the packet-lifecycle ring during each bench
-//! and exports `results/simbench[_quick]_trace_<bench>.json` in Chrome
+//! and exports `results/simbench_trace_<bench>.json` in Chrome
 //! trace_event form. Tracing observes without perturbing: the digest is
-//! byte-identical with and without `--trace`.
+//! byte-identical with and without `--trace`. A result that cannot be
+//! written fails the run.
 //!
 //! [`Subsystem`]: cord_sim::Subsystem
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use cord_bench::perfetto::write_chrome_trace;
-use cord_bench::{append_jsonl, print_table, save_json};
+use cord_bench::{results_path, save_text};
 use cord_nic::CcAlgorithm;
 use cord_sim::Subsystem;
 use cord_workload::scenarios::{self, Scale};
 use cord_workload::{run_scenario_full, RunOptions, ScenarioSpec};
-
-use serde::Serialize;
 
 /// Ring capacity for `--trace` (same bound as loadgen's).
 const TRACE_CAPACITY: usize = 1 << 20;
@@ -75,27 +72,26 @@ struct Bench {
     spec: ScenarioSpec,
 }
 
-/// The fixed benchmark suite. `quick` divides request counts by 10 so CI
-/// can run the whole suite (twice) in seconds.
-fn suite(quick: bool) -> Vec<Bench> {
-    let req = |n: usize| if quick { (n / 10).max(1) } else { n };
+/// The fixed benchmark suite, sized so CI runs all of it (three times)
+/// in seconds.
+fn suite() -> Vec<Bench> {
     let scale = |requests: usize, cc: CcAlgorithm| Scale {
-        requests: req(requests),
+        requests,
         cc: Some(cc),
         ..Scale::default()
     };
     vec![
         Bench {
             name: "kv-fanout",
-            spec: scenarios::kv_fanout(scale(600, CcAlgorithm::None)),
+            spec: scenarios::kv_fanout(scale(60, CcAlgorithm::None)),
         },
         Bench {
             name: "incast-dcqcn",
-            spec: scenarios::incast(scale(600, CcAlgorithm::Dcqcn)),
+            spec: scenarios::incast(scale(60, CcAlgorithm::Dcqcn)),
         },
         Bench {
             name: "shuffle",
-            spec: scenarios::shuffle(scale(300, CcAlgorithm::None)),
+            spec: scenarios::shuffle(scale(30, CcAlgorithm::None)),
         },
         Bench {
             name: "lossy-retx",
@@ -106,7 +102,7 @@ fn suite(quick: bool) -> Vec<Bench> {
             // the digest pins `completed` at the issued count.
             spec: scenarios::lossy_incast_rc(Scale {
                 tenants: 16,
-                requests: req(600),
+                requests: 60,
                 ..Scale::default()
             }),
         },
@@ -121,7 +117,7 @@ fn suite(quick: bool) -> Vec<Bench> {
             // (`retx` is the selective-repeat replay count).
             spec: scenarios::spray_incast(Scale {
                 tenants: 16,
-                requests: req(600),
+                requests: 60,
                 ..Scale::default()
             }),
         },
@@ -133,7 +129,7 @@ fn suite(quick: bool) -> Vec<Bench> {
             // digest line pins the collective schedule end to end
             // (virtual_ms moves if a single chunk reorders).
             spec: scenarios::allreduce_ring(Scale {
-                requests: req(600),
+                requests: 60,
                 ..Scale::default()
             }),
         },
@@ -144,103 +140,60 @@ fn suite(quick: bool) -> Vec<Bench> {
             // DCQCN armed, 250 µs SLO. The digest pins completion and
             // goodput; SLO attainment lives in the loadgen scoreboard.
             spec: scenarios::prefill_decode(Scale {
-                requests: req(150),
+                requests: 15,
                 ..Scale::default()
             }),
         },
     ]
 }
 
-#[derive(Serialize)]
-struct SimbenchReport {
-    /// Trajectory label for this run (`--label`, e.g. "pr4").
-    label: String,
-    bench: String,
-    scenario: String,
-    nodes: usize,
-    tenants: usize,
-    requests_per_tenant: usize,
-    topology: String,
-    cc: String,
-    seed: u64,
-    quick: bool,
-    /// Wall-clock time of `run_scenario` (nondeterministic; excluded from
-    /// the determinism digest).
-    wall_seconds: f64,
-    virtual_ms: f64,
-    polls: u64,
-    timer_fires: u64,
-    polls_per_sec: f64,
-    timer_fires_per_sec: f64,
-    completed: u64,
-    goodput_gbps: f64,
-}
-
-/// What one bench run leaves behind: the perf report, the scenario's
-/// fabric counters (digest-only — the JSON stays pure perf data), the
+/// What one bench run leaves behind: its digest line, its
 /// per-subsystem attribution line, and the lifecycle trace if armed.
 struct BenchRun {
-    report: SimbenchReport,
-    fabric: Option<cord_workload::FabricCounters>,
+    digest: String,
     attr: String,
     trace: Option<Vec<cord_sim::TraceEvent>>,
 }
 
-fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
+fn run_bench(b: &Bench, trace: bool) -> BenchRun {
     let opts = RunOptions {
         trace_capacity: trace.then_some(TRACE_CAPACITY),
     };
-    let t0 = Instant::now();
     let out = run_scenario_full(&b.spec, opts).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    let wall = t0.elapsed().as_secs_f64();
-    let (report, core) = (out.report, out.core);
-    let fabric = report.fabric;
+    let (report, sim) = (out.report, out.core.sim);
+    // Everything in the digest must be bit-reproducible across runs.
+    let mut digest = format!(
+        "{} virtual_ms={} polls={} timer_fires={} completed={} goodput_gbps={}",
+        b.name,
+        report.elapsed_ms,
+        sim.polls,
+        sim.timer_fires,
+        report.total_completed,
+        report.total_goodput_gbps
+    );
+    // Fabric benches (PFC / RC retransmission) also pin their
+    // loss-recovery counters — these are simulation semantics, so they
+    // belong with the byte-exact fields, not the perf ones.
+    if let Some(f) = &report.fabric {
+        write!(
+            digest,
+            " drops={} pauses={} pause_ms={} retx={}",
+            f.net_drops, f.net_pauses, f.net_pause_ms, f.retx_replays
+        )
+        .unwrap();
+    }
     // Attribution: deterministic counts, but deliberately NOT part of the
     // digest — the digest's poll/fire totals are perf-gated (±tolerance),
     // and splitting them there would turn every executor tweak into four
     // baseline refreshes. The side file keeps the breakdown inspectable.
     let mut attr = b.name.to_string();
-    for sub in Subsystem::ALL {
-        write!(
-            attr,
-            " polls[{}]={}",
-            sub.label(),
-            core.sim.polls_by[sub as usize]
-        )
-        .unwrap();
+    for (what, by) in [("polls", &sim.polls_by), ("fires", &sim.timer_fires_by)] {
+        for sub in Subsystem::ALL {
+            write!(attr, " {what}[{}]={}", sub.label(), by[sub as usize]).unwrap();
+        }
     }
-    for sub in Subsystem::ALL {
-        write!(
-            attr,
-            " fires[{}]={}",
-            sub.label(),
-            core.sim.timer_fires_by[sub as usize]
-        )
-        .unwrap();
-    }
-    let r = SimbenchReport {
-        label: label.to_string(),
-        bench: b.name.to_string(),
-        scenario: report.scenario.clone(),
-        nodes: report.nodes,
-        tenants: b.spec.tenants.len(),
-        requests_per_tenant: b.spec.tenants.first().map_or(0, |t| t.requests),
-        topology: report.topology.clone(),
-        cc: report.cc.clone(),
-        seed: b.spec.seed,
-        quick,
-        wall_seconds: wall,
-        virtual_ms: report.elapsed_ms,
-        polls: core.sim.polls,
-        timer_fires: core.sim.timer_fires,
-        polls_per_sec: core.sim.polls as f64 / wall,
-        timer_fires_per_sec: core.sim.timer_fires as f64 / wall,
-        completed: report.total_completed,
-        goodput_gbps: report.total_goodput_gbps,
-    };
     BenchRun {
-        report: r,
-        fabric,
+        digest,
         attr,
         trace: out.trace,
     }
@@ -248,7 +201,7 @@ fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: simbench [--quick] [--trace] [--label <name>] [bench ...]\n\
+        "usage: simbench [--trace] [bench ...]\n\
          benches: kv-fanout, incast-dcqcn, shuffle, lossy-retx, lossy-retx-spray,\n\
          \x20        allreduce-ring, prefill-decode"
     );
@@ -256,24 +209,16 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut quick = false;
     let mut trace = false;
-    let mut label = String::from("dev");
     let mut picked: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--quick" => quick = true,
             "--trace" => trace = true,
-            "--label" => match args.next() {
-                Some(v) if !v.starts_with('-') => label = v,
-                _ => usage(),
-            },
             s if s.starts_with('-') => usage(),
             s => picked.push(s.to_string()),
         }
     }
-    let benches: Vec<Bench> = suite(quick)
+    let benches: Vec<Bench> = suite()
         .into_iter()
         .filter(|b| picked.is_empty() || picked.iter().any(|p| p == b.name))
         .collect();
@@ -281,73 +226,24 @@ fn main() {
         usage();
     }
 
-    let mut rows = Vec::new();
     let mut digest = String::new();
     let mut attr = String::new();
     for b in &benches {
-        let run = run_bench(b, quick, &label, trace);
-        let (r, fabric) = (run.report, run.fabric);
+        let run = run_bench(b, trace);
+        println!("{}", run.digest);
+        writeln!(digest, "{}", run.digest).unwrap();
         writeln!(attr, "{}", run.attr).unwrap();
-        rows.push(vec![
-            r.bench.clone(),
-            format!("{:.3}", r.wall_seconds),
-            format!("{:.3}", r.virtual_ms),
-            format!("{}", r.polls),
-            format!("{}", r.timer_fires),
-            format!("{:.2e}", r.polls_per_sec),
-            format!("{:.2e}", r.timer_fires_per_sec),
-        ]);
-        // Everything in the digest must be bit-reproducible across runs.
-        write!(
-            digest,
-            "{} virtual_ms={} polls={} timer_fires={} completed={} goodput_gbps={}",
-            r.bench, r.virtual_ms, r.polls, r.timer_fires, r.completed, r.goodput_gbps
-        )
-        .unwrap();
-        // Fabric benches (PFC / RC retransmission) also pin their
-        // loss-recovery counters — these are simulation semantics, so they
-        // belong with the byte-exact fields, not the perf ones.
-        if let Some(f) = &fabric {
-            write!(
-                digest,
-                " drops={} pauses={} pause_ms={} retx={}",
-                f.net_drops, f.net_pauses, f.net_pause_ms, f.retx_replays
-            )
-            .unwrap();
-        }
-        writeln!(digest).unwrap();
-        // Quick smoke runs write under a different name so they never
-        // clobber the committed full-run trajectory files.
-        let prefix = if quick { "simbench_quick" } else { "simbench" };
-        save_json(&format!("{prefix}_{}", r.bench), &r);
         if let Some(events) = &run.trace {
-            let path = format!("results/{prefix}_trace_{}.json", r.bench);
-            match write_chrome_trace(std::path::Path::new(&path), events) {
-                Ok(()) => println!("[saved {path} — {} trace events]", events.len()),
-                Err(e) => eprintln!("{}: trace write failed: {e}", r.bench),
+            let path = results_path(&format!("simbench_trace_{}", b.name), "json");
+            if let Err(e) = write_chrome_trace(&path, events) {
+                eprintln!("{}: cannot write {}: {e}", b.name, path.display());
+                std::process::exit(1);
             }
-        }
-        // Full runs (the committed perf numbers) also accumulate into the
-        // append-only trajectory; quick smoke runs never touch it.
-        if !quick {
-            append_jsonl("simbench_trajectory", &r);
+            println!("[saved {} — {} trace events]", path.display(), events.len());
         }
     }
-    print_table(
-        &format!("simbench{}", if quick { " --quick" } else { "" }),
-        &[
-            "bench", "wall s", "virt ms", "polls", "fires", "polls/s", "fires/s",
-        ],
-        &rows,
-    );
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/simbench_digest.txt", &digest).is_ok()
-    {
-        println!("[saved results/simbench_digest.txt]");
-    }
+    save_text("simbench_digest", "txt", &digest);
     // The attribution breakdown lives beside the digest, never in it:
     // deterministic and diffable, but not a gate.
-    if std::fs::write("results/simbench_attr.txt", &attr).is_ok() {
-        println!("[saved results/simbench_attr.txt]");
-    }
+    save_text("simbench_attr", "txt", &attr);
 }

@@ -22,12 +22,11 @@
 //! To refresh the baseline after an intentional change:
 //!
 //! ```text
-//! cargo run --release --bin simbench -- --quick && cp results/simbench_digest.txt results/simbench_baseline_digest.txt
+//! cargo run --release --bin simbench && cp results/simbench_digest.txt results/simbench_baseline_digest.txt
 //! ```
 //!
-//! (The committed full-run perf history lives separately in
-//! `results/simbench_trajectory.jsonl`; the baseline tracks the same code
-//! states at the CI smoke scale.)
+//! The gate counts work, never wall time; wall-clock numbers come from
+//! perfbench's repeated, host-stamped runs.
 
 /// One parsed digest line.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,5 +1,5 @@
-//! Shared plumbing for the figure-harness binaries: table rendering, JSON
-//! result persistence (under `results/`), an ordered parallel map over
+//! Shared plumbing for the figure-harness binaries: table rendering,
+//! result persistence under `results/`, an ordered parallel map over
 //! independent simulations ([`par_map`]), the CI perf-regression gate
 //! over simbench digests ([`gate`]), and the Chrome/Perfetto trace
 //! exporter ([`perfetto`]).
@@ -45,7 +45,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 /// `results/<name>.<ext>`, creating `results/` if needed. Panics with the
 /// path when the directory cannot be created: a harness must not exit 0
 /// without its results.
-fn results_path(name: &str, ext: &str) -> PathBuf {
+pub fn results_path(name: &str, ext: &str) -> PathBuf {
     let dir = PathBuf::from("results");
     if let Err(e) = fs::create_dir_all(&dir) {
         panic!("cannot create {}: {e}", dir.display());
@@ -65,26 +65,14 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     println!("[saved {}]", path.display());
 }
 
-/// Append one record to a JSON-Lines trajectory file under `results/`,
-/// panicking with the path on failure.
-///
-/// Unlike [`save_json`], the file is never overwritten: each full
-/// benchmark run appends its rows, so the committed file accumulates the
-/// repo's performance history (one line per bench per labelled run).
-pub fn append_jsonl<T: Serialize>(name: &str, value: &T) {
-    let path = results_path(name, "jsonl");
-    let s = serde_json::to_string(value)
-        .unwrap_or_else(|e| panic!("cannot serialize {}: {e}", path.display()));
-    let line = format!("{s}\n");
-    if let Err(e) = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()))
-    {
-        panic!("cannot append to {}: {e}", path.display());
+/// Write `text` to `results/<name>.<ext>`, panicking with the path on
+/// failure.
+pub fn save_text(name: &str, ext: &str, text: &str) {
+    let path = results_path(name, ext);
+    if let Err(e) = fs::write(&path, text) {
+        panic!("cannot write {}: {e}", path.display());
     }
-    println!("[appended {}]", path.display());
+    println!("[saved {}]", path.display());
 }
 
 /// Map `f` over `items` on up to `available_parallelism()` scoped threads,

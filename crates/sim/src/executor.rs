@@ -377,16 +377,6 @@ impl Sim {
         self.inner.now.get()
     }
 
-    /// Number of task polls executed so far (progress/diagnostics).
-    pub fn polls(&self) -> u64 {
-        self.inner.polls.get()
-    }
-
-    /// Number of timers fired so far.
-    pub fn timer_fires(&self) -> u64 {
-        self.inner.timer_fires.get()
-    }
-
     /// Snapshot of all core counters (perf harnesses, alloc-path tests).
     ///
     /// # Examples
@@ -1136,7 +1126,7 @@ mod tests {
         });
         // First step polls the parked task once and captures its waker.
         sim.block_on(async {});
-        let baseline = s.polls();
+        let baseline = s.stats().polls;
         let waker = waker_out.borrow().clone().expect("task parked");
 
         // Five wakes before the next drain: exactly one poll must result.
@@ -1145,7 +1135,7 @@ mod tests {
         }
         sim.block_on(async {});
         assert_eq!(
-            s.polls() - baseline,
+            s.stats().polls - baseline,
             1 + 1, // one poll of the parked task + one for the empty block_on task
             "duplicate wakes must coalesce into a single poll"
         );
