@@ -11,11 +11,17 @@
 //! counters) must match byte-exactly; `polls`/`timer_fires` may improve
 //! freely but fail the gate when they regress more than 10 %.
 //!
+//! Exit status: 0 on a pass, 1 on violations, 2 on usage or read errors.
+//! The pass report goes to stdout; a failed write of it (a closed pipe)
+//! does not change the status.
+//!
 //! Baseline refresh (one line, after an intentional perf/semantic change):
 //!
 //! ```text
 //! cargo run --release --bin simbench && cp results/simbench_digest.txt results/simbench_baseline_digest.txt
 //! ```
+
+use std::io::Write;
 
 use cord_bench::gate::check_digests;
 
@@ -45,11 +51,16 @@ fn main() {
     let (base, cur) = (read(&baseline), read(&current));
     match check_digests(&base, &cur, TOLERANCE) {
         Ok(()) => {
-            println!(
-                "perfgate: OK — semantics byte-exact, perf within +{:.0}% tolerance",
-                TOLERANCE * 100.0
+            // The verdict is the exit status: a reader that closed stdout
+            // early (`perfgate | head -1`) must not turn a pass into a
+            // failure, so a failed report write is ignored.
+            let mut out = std::io::stdout().lock();
+            let _ = writeln!(
+                out,
+                "perfgate: OK — semantics byte-exact, perf within +{:.0}% tolerance\nperfgate: {}",
+                TOLERANCE * 100.0,
+                cur.trim_end().replace('\n', "\nperfgate: ")
             );
-            println!("perfgate: {}", cur.trim_end().replace('\n', "\nperfgate: "));
         }
         Err(violations) => {
             eprintln!("perfgate: FAILED ({} violation(s))", violations.len());

@@ -89,6 +89,42 @@ impl Kernel {
         SimDuration::from_ns_f64(self.inner.spec.cpu.cord_driver_ns)
     }
 
+    fn policy_ctx(&self, qpn: QpNum) -> PolicyCtx {
+        PolicyCtx {
+            node: self.inner.node,
+            qpn,
+            now: self.inner.sim.now(),
+        }
+    }
+
+    /// Count and trace a policy denial; returns the error the verb
+    /// reports to its caller.
+    fn deny(&self, qpn: QpNum, reason: &'static str) -> VerbsError {
+        self.inner.denials.set(self.inner.denials.get() + 1);
+        self.inner.trace.emit(
+            self.inner.sim.now(),
+            TraceKind::PolicyDeny {
+                node: self.inner.node as u32,
+                qpn: qpn.0,
+            },
+        );
+        VerbsError::PolicyDenied(reason)
+    }
+
+    /// The receive-side policy check shared by the single and batched
+    /// `post_recv`. Only a denial acts here: receive posts do not stall.
+    fn admit_recv(&self, qpn: QpNum) -> Result<(), VerbsError> {
+        let decision = self
+            .inner
+            .policies
+            .borrow()
+            .check_post_recv(&self.policy_ctx(qpn));
+        match decision {
+            PolicyDecision::Deny(reason) => Err(self.deny(qpn, reason)),
+            _ => Ok(()),
+        }
+    }
+
     /// CoRD data-plane `post_send` system call.
     pub async fn cord_post_send(
         &self,
@@ -107,27 +143,14 @@ impl Kernel {
 
         let mut stalls = 0u32;
         loop {
-            let decision = {
-                let ctx = PolicyCtx {
-                    node: self.inner.node,
-                    qpn,
-                    now: self.inner.sim.now(),
-                };
-                self.inner.policies.borrow().check_post_send(&ctx, &wqe)
-            };
+            let decision = self
+                .inner
+                .policies
+                .borrow()
+                .check_post_send(&self.policy_ctx(qpn), &wqe);
             match decision {
                 PolicyDecision::Allow => break,
-                PolicyDecision::Deny(reason) => {
-                    self.inner.denials.set(self.inner.denials.get() + 1);
-                    self.inner.trace.emit(
-                        self.inner.sim.now(),
-                        TraceKind::PolicyDeny {
-                            node: self.inner.node as u32,
-                            qpn: qpn.0,
-                        },
-                    );
-                    return Err(VerbsError::PolicyDenied(reason));
-                }
+                PolicyDecision::Deny(reason) => return Err(self.deny(qpn, reason)),
                 PolicyDecision::Delay(d) => {
                     stalls += 1;
                     if stalls > MAX_POLICY_STALLS {
@@ -159,18 +182,7 @@ impl Kernel {
     ) -> Result<(), VerbsError> {
         core.cord_crossing().await;
         self.inner.cord_posts.set(self.inner.cord_posts.get() + 1);
-        let decision = {
-            let ctx = PolicyCtx {
-                node: self.inner.node,
-                qpn,
-                now: self.inner.sim.now(),
-            };
-            self.inner.policies.borrow().check_post_recv(&ctx)
-        };
-        if let PolicyDecision::Deny(reason) = decision {
-            self.inner.denials.set(self.inner.denials.get() + 1);
-            return Err(VerbsError::PolicyDenied(reason));
-        }
+        self.admit_recv(qpn)?;
         let policy_cost = self.inner.policies.borrow().cost();
         if !policy_cost.is_zero() {
             core.kernel_work2(policy_cost, self.driver_cost()).await;
@@ -190,18 +202,7 @@ impl Kernel {
     ) -> Result<(), VerbsError> {
         core.cord_crossing().await;
         self.inner.cord_posts.set(self.inner.cord_posts.get() + 1);
-        let decision = {
-            let ctx = PolicyCtx {
-                node: self.inner.node,
-                qpn,
-                now: self.inner.sim.now(),
-            };
-            self.inner.policies.borrow().check_post_recv(&ctx)
-        };
-        if let PolicyDecision::Deny(reason) = decision {
-            self.inner.denials.set(self.inner.denials.get() + 1);
-            return Err(VerbsError::PolicyDenied(reason));
-        }
+        self.admit_recv(qpn)?;
         let per_wqe = SimDuration::from_ns_f64(self.inner.spec.cpu.cord_driver_ns * 0.3);
         core.kernel_work(self.driver_cost()).await;
         for wqe in wqes {
@@ -222,7 +223,6 @@ impl Kernel {
         let cqes = cq.poll(max);
         if !cqes.is_empty() {
             let policies = self.inner.policies.borrow();
-            let now = self.inner.sim.now();
             let mut i = 0;
             while i < cqes.len() {
                 let qpn = cqes[i].qp;
@@ -230,12 +230,7 @@ impl Kernel {
                 while j < cqes.len() && cqes[j].qp == qpn {
                     j += 1;
                 }
-                let ctx = PolicyCtx {
-                    node: self.inner.node,
-                    qpn,
-                    now,
-                };
-                policies.notify_completions(&ctx, &cqes[i..j]);
+                policies.notify_completions(&self.policy_ctx(qpn), &cqes[i..j]);
                 i = j;
             }
         }
@@ -345,6 +340,49 @@ mod tests {
         // The denied WQE never reached the QP.
         let (tx_msgs, _, _, _) = kern.nic().qp_counters(qpn).unwrap();
         assert_eq!(tx_msgs, 0);
+    }
+
+    #[test]
+    fn recv_denial_is_counted_and_traced_on_single_and_batch_paths() {
+        struct DenyRecv;
+        impl CordPolicy for DenyRecv {
+            fn name(&self) -> &'static str {
+                "deny-recv"
+            }
+            fn on_post_recv(&self, _ctx: &PolicyCtx) -> PolicyDecision {
+                PolicyDecision::Deny("recv forbidden")
+            }
+        }
+        let sim = Sim::new();
+        let (kern, core, _scq, _rcq, qpn, mem) = setup(&sim);
+        let trace = Trace::enabled(64);
+        let kern = Kernel::new(&sim, &system_l(), kern.nic().clone(), trace.clone());
+        kern.add_policy(Rc::new(DenyRecv));
+        let buf = mem.alloc(64, 0);
+        let mr = kern.nic().mr_table().register(mem, buf, Access::all());
+        let wqe = RecvWqe::new(
+            WrId(1),
+            Sge {
+                addr: buf.addr,
+                len: 64,
+                lkey: mr.lkey,
+            },
+        );
+        let (single, batch) = sim.block_on({
+            let kern = kern.clone();
+            async move {
+                let single = kern.cord_post_recv(&core, qpn, wqe.clone()).await;
+                let batch = kern.cord_post_recv_batch(&core, qpn, vec![wqe]).await;
+                (single, batch)
+            }
+        });
+        let denied = Err(VerbsError::PolicyDenied("recv forbidden"));
+        assert_eq!(single, denied);
+        assert_eq!(batch, denied);
+        assert_eq!(kern.counters(), (2, 0, 2));
+        let traced = trace
+            .count_kind(|k| matches!(k, TraceKind::PolicyDeny { node: 0, qpn: q } if *q == qpn.0));
+        assert_eq!(traced, 2, "both recv paths trace their denial");
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! # cord-net — switched topologies, shared queues, and ECN
+//! # cord-net — the wire: topologies, shared queues, and ECN
 //!
-//! The seed reproduction wires nodes back-to-back: `cord-hw`'s fabric is
-//! an ideal full mesh where every frame goes straight from source egress
-//! to destination ingress, so cluster-scale scenarios named after
-//! congestion (incast, shuffle) never actually experience any. This crate
-//! replaces that with explicit topologies and congestion:
+//! One frame transport for every topology, from the back-to-back wire
+//! the paper's figures run on to switched fabrics where cluster-scale
+//! scenarios named after congestion (incast, shuffle) experience it:
 //!
-//! * [`Topology`] — [`Topology::FullMesh`] (the default; byte-identical to
-//!   the seed's behavior), two-tier [`Topology::FatTree`] with ECMP over
-//!   the spines, and [`Topology::Dumbbell`] with a shared bottleneck link.
-//! * [`Network`] — the runtime transport `cord-nic` ships packets
-//!   through: per-output-port FIFO queues, finite buffers with tail drop,
-//!   and ECN marking at a configurable queue-depth threshold
+//! * [`Topology`] — [`Topology::FullMesh`] (the default: switchless, a
+//!   dedicated wire per node pair, where only a receiver's RX wire is
+//!   shared), two-tier [`Topology::FatTree`] with ECMP over the spines,
+//!   and [`Topology::Dumbbell`] with a shared bottleneck link.
+//! * [`Network`] — the runtime transport `cord-nic` ships [`Frame`]s
+//!   through: host links with one fault state, and on switched
+//!   topologies per-output-port FIFO queues, finite buffers with tail
+//!   drop, and ECN marking at a configurable queue-depth threshold
 //!   ([`EcnConfig`]).
 //! * [`RoutePlan`] — pure, unit-testable routing: ECMP hashed on
 //!   `(src, dst, flow)`, so a QP's fragments share one path and RC
@@ -56,9 +56,5 @@
 pub mod network;
 pub mod route;
 
-pub use network::{EcnConfig, NetConfig, Network, PfcConfig, Routing};
+pub use network::{EcnConfig, Frame, NetConfig, Network, PfcConfig, Routing};
 pub use route::{ecmp_hash, PortKind, RoutePlan, Topology};
-
-// Re-export the frame type networks carry, so `cord-nic` has one import
-// surface for transport types.
-pub use cord_hw::link::Frame;

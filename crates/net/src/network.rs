@@ -1,10 +1,27 @@
-//! The runtime network: topology-pluggable frame transport.
+//! The runtime network: one frame transport for every topology.
 //!
-//! [`Network`] is what `cord-nic` transmits through. For
-//! [`Topology::FullMesh`] it delegates to `cord-hw`'s ideal mesh
-//! ([`Fabric`]) so default results stay bit-comparable with the seed
-//! reproduction. For switched topologies it models every switch output
-//! port as a store-and-forward FIFO with a finite shared buffer:
+//! [`Network`] is what `cord-nic` transmits through. Every topology shares
+//! the host links: each node has an egress serializer at line rate, one
+//! host-link fault state, and one last-hop delivery into the
+//! destination's ingress channel. Loopback frames (same node) pass
+//! through the NIC's internal path at egress-grant end and touch no wire.
+//!
+//! [`Topology::FullMesh`] is the switchless topology, the default every
+//! paper figure runs on (the paper's system L is two nodes back to back;
+//! system A is two VMs across a cloud fabric, modelled as a
+//! higher-propagation link). Every node pair has a dedicated wire, so the
+//! only shared queue is the receiver's RX wire: the first bit reaches the
+//! destination one propagation delay (plus any degraded-link latency)
+//! after the sender starts serializing, and the RX wire then receives for
+//! one line-rate serialization time. Frames from many concurrent senders
+//! queue there (the incast effect); for a single sender the receive
+//! interval is the egress interval shifted by propagation. The mesh's
+//! events carry no subsystem tag, so they are billed to the transmitting
+//! NIC.
+//!
+//! Switched topologies model every switch output port as a
+//! store-and-forward FIFO with a finite shared buffer, and bill their
+//! events to [`Subsystem::SwitchPort`]:
 //!
 //! * **Queueing** — a frame occupies its output port for `wire_bytes` at
 //!   the port's line rate; frames behind it wait. Crossing a switch adds
@@ -32,14 +49,18 @@
 //!   launched while the pause signal is in flight: XOFF/XON transitions
 //!   reach upstream feeders one propagation delay after they assert,
 //!   like a real pause frame crossing the link.
-//! * **Faults** — a runtime fault plane (driven by the `cord-chaos`
-//!   crate) can down or degrade host links, kill a fat-tree spine
-//!   (subsequent cross-leaf paths reroute deterministically around it;
-//!   frames on dead hardware are counted as lost), wedge pause state,
-//!   and break PFC deadlocks with a no-progress watchdog. With no fault
-//!   injected the hot path pays one predictable branch, schedules zero
-//!   extra events, and results stay byte-identical to a fault-free
-//!   build.
+//!
+//! The mesh has no switch ports, so the port knobs (ECN, buffer, PFC,
+//! spray routing) are inert there: it reports PFC off and ECMP routing.
+//!
+//! **Faults** — a runtime fault plane (driven by the `cord-chaos` crate)
+//! can down or degrade host links on every topology, and on switched ones
+//! kill a fat-tree spine (subsequent cross-leaf paths reroute
+//! deterministically around it; frames on dead hardware are counted as
+//! lost), wedge pause state, and break PFC deadlocks with a no-progress
+//! watchdog. With no fault injected the hot path pays one predictable
+//! branch, schedules zero extra events, and results stay byte-identical
+//! to a fault-free build.
 //!
 //! Everything is deterministic: routing is a pure hash, queues are
 //! analytic FIFOs (event-driven FIFOs under PFC), and event scheduling
@@ -50,7 +71,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use cord_hw::link::{Fabric, Frame};
 use cord_hw::machine::LinkSpec;
 use cord_sim::sync::{channel, Receiver, Sender};
 use cord_sim::{
@@ -58,6 +78,27 @@ use cord_sim::{
 };
 
 use crate::route::{PortKind, RoutePlan, Topology};
+
+/// A frame in flight: endpoints, wire size, and an opaque payload.
+///
+/// Generic over the payload so `cord-nic` can ship its packet type
+/// through the network without a dependency cycle.
+pub struct Frame<T> {
+    /// Source node.
+    pub src: usize,
+    /// Destination node.
+    pub dst: usize,
+    /// Bytes occupied on the wire (payload + headers).
+    pub wire_bytes: usize,
+    /// Flow label for ECMP path selection in switched topologies (the NIC
+    /// derives it from the QP pair). Ignored by the full mesh.
+    pub flow: u64,
+    /// ECN congestion-experienced mark, set by switches whose egress queue
+    /// is over threshold. Always false on the full mesh.
+    pub ecn: bool,
+    /// The cargo (the NIC ships its packet type here).
+    pub payload: T,
+}
 
 /// ECN marking knobs for switch output ports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -259,7 +300,7 @@ struct PfcPort<T> {
     /// it was sent under and is discarded once superseded.
     epoch: Cell<u32>,
     /// Pause wedged on by the fault plane (exempt from the XON drain
-    /// rule; only [`Switched::force_pause`] or the watchdog clears it).
+    /// rule; only [`Network::force_pause`] or the watchdog clears it).
     forced: Cell<bool>,
     pause_since: Cell<SimTime>,
     /// XOFF assertions (pause frames sent upstream, coalesced per episode).
@@ -286,7 +327,7 @@ impl<T> Default for PfcPort<T> {
     }
 }
 
-/// Runtime fault-plane state for a switched fabric, mutated by the
+/// Runtime fault-plane state for every topology, mutated by the
 /// `cord-chaos` crate through [`Network`]'s fault API.
 ///
 /// Always allocated, but `active` stays `false` until the first
@@ -340,34 +381,38 @@ struct PfcFabric<T> {
     ports: Vec<PfcPort<T>>,
 }
 
-struct Switched<T> {
+/// The network's state, shared behind one `Rc` so every scheduled event
+/// captures a single reference-count bump.
+struct Inner<T> {
     sim: Sim,
     spec: LinkSpec,
+    /// On the full mesh: PFC off and ECMP routing (it has no switch ports).
     cfg: NetConfig,
-    plan: RoutePlan,
     host_egress: Vec<FifoResource>,
-    ports: Vec<Port>,
     ingress_tx: Vec<Sender<Frame<T>>>,
-    /// `Some` iff `cfg.pfc.enabled`: the pause-aware serialization path.
+    /// Fault-plane admin state (inert until the first injection).
+    faults: FaultState,
+    /// Observability sink: mesh transmits, port occupancy, drops, pause
+    /// transitions.
+    trace: Trace,
+    /// `None` on the full mesh.
+    plan: Option<RoutePlan>,
+    /// Switch output ports (empty on the full mesh).
+    ports: Vec<Port>,
+    /// `Some` iff the topology is switched and `cfg.pfc.enabled`: the
+    /// pause-aware serialization path.
     pfc: Option<PfcFabric<T>>,
     /// Per-packet sequence for spray selection, incremented once per
     /// routed frame. Transmit order is deterministic, so the counter —
     /// and therefore every spray decision — is too.
     spray_seq: Cell<u64>,
-    /// Fault-plane admin state (inert until the first injection).
-    faults: FaultState,
-    /// Observability sink: port occupancy, drops, pause transitions.
-    trace: Trace,
-}
-
-enum Kind<T> {
-    Mesh(Fabric<T>),
-    Switched(Rc<Switched<T>>),
+    /// The full mesh's per-node RX wires (empty on switched topologies).
+    rx_wire: Vec<FifoResource>,
 }
 
 /// Topology-pluggable frame transport connecting `n` nodes.
 pub struct Network<T> {
-    kind: Kind<T>,
+    inner: Rc<Inner<T>>,
 }
 
 impl<T: 'static> Network<T> {
@@ -383,9 +428,10 @@ impl<T: 'static> Network<T> {
         Self::new_traced(sim, spec, nodes, cfg, Trace::disabled())
     }
 
-    /// [`Network::new`] with an observability sink: port occupancy,
-    /// drops, and pause transitions are emitted as typed trace events
-    /// (one predictable branch per event when the sink is disabled).
+    /// [`Network::new`] with an observability sink: mesh transmits
+    /// ([`TraceKind::MeshTx`]), port occupancy, drops, and pause
+    /// transitions are emitted as typed trace events (one predictable
+    /// branch per event when the sink is disabled).
     pub fn new_traced(
         sim: &Sim,
         spec: LinkSpec,
@@ -396,223 +442,217 @@ impl<T: 'static> Network<T> {
         cfg.topology
             .validate(nodes)
             .expect("topology validated before network build");
-        match cfg.topology {
-            Topology::FullMesh => {
-                let (fab, rxs) = Fabric::new_traced(sim, spec, nodes, trace);
-                (
-                    Network {
-                        kind: Kind::Mesh(fab),
-                    },
-                    rxs,
-                )
-            }
-            _ => {
-                let plan = RoutePlan::new(cfg.topology, nodes);
-                let ports = (0..plan.num_ports())
-                    .map(|i| Port {
-                        fifo: FifoResource::new(sim),
-                        gbps: plan.port_gbps(i, spec.gbps),
-                        queued: Cell::new(0),
-                        inflight: RefCell::new(VecDeque::new()),
-                        marks: Cell::new(0),
-                        drops: Cell::new(0),
-                        forwarded: Cell::new(0),
-                    })
-                    .collect();
-                let mut ingress_tx = Vec::with_capacity(nodes);
-                let mut ingress_rx = Vec::with_capacity(nodes);
-                for _ in 0..nodes {
-                    let (tx, rx) = channel();
-                    ingress_tx.push(tx);
-                    ingress_rx.push(rx);
-                }
-                let pfc = cfg.pfc.enabled.then(|| {
-                    assert!(
-                        cfg.pfc.xon_bytes <= cfg.pfc.xoff_bytes,
-                        "PFC XON watermark must not exceed XOFF"
-                    );
-                    PfcFabric {
-                        hosts: (0..nodes).map(|_| FeederQ::default()).collect(),
-                        ports: (0..plan.num_ports()).map(|_| PfcPort::default()).collect(),
-                    }
-                });
-                let faults = FaultState::new(nodes, plan.num_ports());
-                let sw = Rc::new(Switched {
-                    sim: sim.clone(),
-                    spec,
-                    cfg,
-                    plan,
-                    host_egress: (0..nodes).map(|_| FifoResource::new(sim)).collect(),
-                    ports,
-                    ingress_tx,
-                    pfc,
-                    spray_seq: Cell::new(0),
-                    faults,
-                    trace,
-                });
-                (
-                    Network {
-                        kind: Kind::Switched(sw),
-                    },
-                    ingress_rx,
-                )
-            }
+        let plan =
+            (cfg.topology != Topology::FullMesh).then(|| RoutePlan::new(cfg.topology, nodes));
+        // The mesh has no switch ports, so the port knobs have nothing to
+        // act on there.
+        let cfg = match plan {
+            Some(_) => cfg,
+            None => NetConfig {
+                pfc: PfcConfig {
+                    enabled: false,
+                    ..cfg.pfc
+                },
+                routing: Routing::Ecmp,
+                ..cfg
+            },
+        };
+        let ports: Vec<Port> = plan
+            .iter()
+            .flat_map(|plan| {
+                (0..plan.num_ports()).map(move |i| Port {
+                    fifo: FifoResource::new(sim),
+                    gbps: plan.port_gbps(i, spec.gbps),
+                    queued: Cell::new(0),
+                    inflight: RefCell::new(VecDeque::new()),
+                    marks: Cell::new(0),
+                    drops: Cell::new(0),
+                    forwarded: Cell::new(0),
+                })
+            })
+            .collect();
+        let mut ingress_tx = Vec::with_capacity(nodes);
+        let mut ingress_rx = Vec::with_capacity(nodes);
+        for _ in 0..nodes {
+            let (tx, rx) = channel();
+            ingress_tx.push(tx);
+            ingress_rx.push(rx);
         }
+        let pfc = cfg.pfc.enabled.then(|| {
+            assert!(
+                cfg.pfc.xon_bytes <= cfg.pfc.xoff_bytes,
+                "PFC XON watermark must not exceed XOFF"
+            );
+            PfcFabric {
+                hosts: (0..nodes).map(|_| FeederQ::default()).collect(),
+                ports: (0..ports.len()).map(|_| PfcPort::default()).collect(),
+            }
+        });
+        let rx_wire = match plan {
+            Some(_) => Vec::new(),
+            None => (0..nodes).map(|_| FifoResource::new(sim)).collect(),
+        };
+        let inner = Inner {
+            sim: sim.clone(),
+            spec,
+            cfg,
+            host_egress: (0..nodes).map(|_| FifoResource::new(sim)).collect(),
+            ingress_tx,
+            faults: FaultState::new(nodes, ports.len()),
+            trace,
+            plan,
+            ports,
+            pfc,
+            spray_seq: Cell::new(0),
+            rx_wire,
+        };
+        (
+            Network {
+                inner: Rc::new(inner),
+            },
+            ingress_rx,
+        )
     }
 
     pub fn nodes(&self) -> usize {
-        match &self.kind {
-            Kind::Mesh(f) => f.nodes(),
-            Kind::Switched(s) => s.plan.nodes(),
-        }
+        self.inner.host_egress.len()
     }
 
     pub fn spec(&self) -> &LinkSpec {
-        match &self.kind {
-            Kind::Mesh(f) => f.spec(),
-            Kind::Switched(s) => &s.spec,
-        }
+        &self.inner.spec
     }
 
     pub fn topology(&self) -> Topology {
-        match &self.kind {
-            Kind::Mesh(_) => Topology::FullMesh,
-            Kind::Switched(s) => s.cfg.topology,
-        }
+        self.inner.cfg.topology
     }
 
     /// Path-selection policy in effect (the full mesh has one path per
     /// pair, so it always reports [`Routing::Ecmp`]).
     pub fn routing(&self) -> Routing {
-        match &self.kind {
-            Kind::Mesh(_) => Routing::Ecmp,
-            Kind::Switched(s) => s.cfg.routing,
-        }
+        self.inner.cfg.routing
     }
 
     /// Serialization time for `wire_bytes` at the host link rate.
     pub fn serialize_time(&self, wire_bytes: usize) -> SimDuration {
-        cord_sim::transmission_time(wire_bytes as u64, self.spec().gbps)
+        transmission_time(wire_bytes as u64, self.inner.spec.gbps)
     }
 
     /// Transmit a frame; it arrives at the destination asynchronously (or
-    /// is dropped at a full switch buffer).
+    /// is lost to a full switch buffer or a downed link).
+    ///
+    /// On a switched topology every event the fabric schedules from here
+    /// on (per-hop arrivals, serializer completions, pause signals) is
+    /// attributed to the [`Subsystem::SwitchPort`] bucket — the tag is
+    /// captured at schedule time and re-installed when each timer fires,
+    /// so it propagates through chained reschedules without plumbing.
+    /// The full mesh's events stay untagged: they bill to the caller.
     pub fn transmit(&self, frame: Frame<T>) {
-        match &self.kind {
-            Kind::Mesh(f) => f.transmit(frame),
-            Kind::Switched(s) => Switched::transmit(s, frame),
+        let this = &self.inner;
+        assert!(frame.src < self.nodes() && frame.dst < self.nodes());
+        if this.plan.is_none() {
+            Inner::send(this, frame);
+        } else if this.pfc.is_some() {
+            this.sim
+                .with_tag(Subsystem::SwitchPort, || Inner::pfc_transmit(this, frame));
+        } else {
+            this.sim
+                .with_tag(Subsystem::SwitchPort, || Inner::send(this, frame));
         }
     }
 
     /// Routing plan for switched topologies (`None` on the full mesh).
     pub fn plan(&self) -> Option<&RoutePlan> {
-        match &self.kind {
-            Kind::Mesh(_) => None,
-            Kind::Switched(s) => Some(&s.plan),
-        }
+        self.inner.plan.as_ref()
     }
 
     /// Bytes currently queued at a switch output port.
     ///
-    /// Like every `port_*` accessor, panics on the full mesh (it has no
-    /// switch ports): discover valid indices through [`Network::plan`],
-    /// which is `None` there. The `total_*` accessors are mesh-safe.
+    /// Like every `port_*` accessor, takes a port index from
+    /// [`Network::plan`] (`None` on the full mesh, which has no switch
+    /// ports). The `total_*` accessors read zero on the mesh.
     pub fn port_queued_bytes(&self, port: usize) -> usize {
-        let s = self.switched();
-        let p = &s.ports[port];
-        p.settle(s.sim.now());
+        let p = &self.inner.ports[port];
+        p.settle(self.inner.sim.now());
         p.queued.get()
     }
 
-    /// Frames ECN-marked at a switch output port (panics on the full
-    /// mesh, see [`Network::port_queued_bytes`]).
+    /// Frames ECN-marked at a switch output port.
     pub fn port_marks(&self, port: usize) -> u64 {
-        self.switched().ports[port].marks.get()
+        self.inner.ports[port].marks.get()
     }
 
-    /// Frames tail-dropped at a switch output port (panics on the full
-    /// mesh, see [`Network::port_queued_bytes`]).
+    /// Frames tail-dropped at a switch output port.
     pub fn port_drops(&self, port: usize) -> u64 {
-        self.switched().ports[port].drops.get()
+        self.inner.ports[port].drops.get()
     }
 
-    /// Frames accepted (queued for serialization) at a port (panics on
-    /// the full mesh, see [`Network::port_queued_bytes`]).
+    /// Frames accepted (queued for serialization) at a port.
     pub fn port_forwarded(&self, port: usize) -> u64 {
-        self.switched().ports[port].forwarded.get()
+        self.inner.ports[port].forwarded.get()
     }
 
     /// Total ECN marks across all switch ports.
     pub fn total_marks(&self) -> u64 {
-        match &self.kind {
-            Kind::Mesh(_) => 0,
-            Kind::Switched(s) => s.ports.iter().map(|p| p.marks.get()).sum(),
-        }
+        self.inner.ports.iter().map(|p| p.marks.get()).sum()
     }
 
     /// Total tail drops across all switch ports.
     pub fn total_drops(&self) -> u64 {
-        match &self.kind {
-            Kind::Mesh(_) => 0,
-            Kind::Switched(s) => s.ports.iter().map(|p| p.drops.get()).sum(),
-        }
+        self.inner.ports.iter().map(|p| p.drops.get()).sum()
     }
 
     /// Whether the fabric runs in lossless (PFC) mode.
     pub fn pfc_enabled(&self) -> bool {
-        match &self.kind {
-            Kind::Mesh(_) => false,
-            Kind::Switched(s) => s.pfc.is_some(),
-        }
+        self.inner.pfc.is_some()
     }
 
-    /// XOFF episodes asserted by a switch port (panics on the full mesh,
-    /// see [`Network::port_queued_bytes`]). Zero when PFC is off.
+    /// XOFF episodes asserted by a switch port. Zero when PFC is off.
     pub fn port_pauses(&self, port: usize) -> u64 {
-        self.switched()
+        self.inner
             .pfc
             .as_ref()
             .map_or(0, |p| p.ports[port].pause_events.get())
     }
 
-    /// Whether a switch port is currently asserting pause upstream
-    /// (panics on the full mesh, see [`Network::port_queued_bytes`]).
+    /// Whether a switch port is currently asserting pause upstream.
     pub fn port_paused(&self, port: usize) -> bool {
-        self.switched()
+        self.inner
             .pfc
             .as_ref()
             .is_some_and(|p| p.ports[port].xoff.get())
     }
 
-    /// Total XOFF episodes across all switch ports (0 on the mesh or with
-    /// PFC off).
+    /// Total XOFF episodes across all switch ports (0 with PFC off).
     pub fn total_pauses(&self) -> u64 {
-        match &self.kind {
-            Kind::Mesh(_) => 0,
-            Kind::Switched(s) => s
-                .pfc
-                .as_ref()
-                .map_or(0, |p| p.ports.iter().map(|pp| pp.pause_events.get()).sum()),
-        }
+        self.inner
+            .pfc
+            .as_ref()
+            .map_or(0, |p| p.ports.iter().map(|pp| pp.pause_events.get()).sum())
     }
 
     /// Cumulative pause time across all switch ports, including episodes
     /// still asserted at the current instant.
     pub fn total_pause_time(&self) -> SimDuration {
-        match &self.kind {
-            Kind::Mesh(_) => SimDuration::ZERO,
-            Kind::Switched(s) => s.pfc.as_ref().map_or(SimDuration::ZERO, |p| {
-                let now = s.sim.now();
-                p.ports.iter().fold(SimDuration::ZERO, |acc, pp| {
-                    let open = if pp.xoff.get() {
-                        now.since(pp.pause_since.get())
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    acc + pp.pause_total.get() + open
-                })
-            }),
-        }
+        (0..self.inner.pfc.as_ref().map_or(0, |p| p.ports.len()))
+            .fold(SimDuration::ZERO, |acc, port| {
+                acc + self.port_pause_time(port)
+            })
+    }
+
+    /// Cumulative pause time billed to one switch port, including an
+    /// episode still open at the current instant — the per-victim
+    /// pause-time counter. Zero when PFC is off.
+    pub fn port_pause_time(&self, port: usize) -> SimDuration {
+        let this = &self.inner;
+        this.pfc.as_ref().map_or(SimDuration::ZERO, |p| {
+            let pp = &p.ports[port];
+            let open = if pp.xoff.get() {
+                this.sim.now().since(pp.pause_since.get())
+            } else {
+                SimDuration::ZERO
+            };
+            pp.pause_total.get() + open
+        })
     }
 
     // ================== fault plane (cord-chaos API) ==================
@@ -626,9 +666,12 @@ impl<T: 'static> Network<T> {
     /// behavior), though frames bound *to* the dead host are still lost
     /// at delivery.
     pub fn set_host_link_down(&self, node: usize, down: bool) {
-        match &self.kind {
-            Kind::Mesh(f) => f.set_link_down(node, down),
-            Kind::Switched(s) => Switched::set_host_link_down(s, node, down),
+        let this = &self.inner;
+        this.faults.active.set(true);
+        this.faults.host_down[node].set(down);
+        if !down && this.pfc.is_some() {
+            // Link restored: resume the frames that waited out the flap.
+            Inner::pfc_kick_host(this, node);
         }
     }
 
@@ -641,95 +684,54 @@ impl<T: 'static> Network<T> {
             "rate factor must be positive"
         );
         assert!(extra_ns >= 0.0, "extra latency must be non-negative");
-        match &self.kind {
-            Kind::Mesh(f) => f.set_link_degrade(node, rate_factor, extra_ns),
-            Kind::Switched(s) => {
-                s.faults.active.set(true);
-                s.faults.host_rate[node].set(rate_factor);
-                s.faults.host_extra_ns[node].set(extra_ns);
-            }
-        }
+        let f = &self.inner.faults;
+        f.active.set(true);
+        f.host_rate[node].set(rate_factor);
+        f.host_extra_ns[node].set(extra_ns);
     }
 
     /// Kill fat-tree spine switch `spine`: its downlinks and the leaf
     /// uplinks wired to them go dark. Subsequent cross-leaf paths reroute
     /// deterministically around the corpse
     /// ([`RoutePlan::route_avoiding`]); frames already committed to dead
-    /// hardware are lost and counted. Panics on the full mesh (see
-    /// [`Network::port_queued_bytes`]) and on non-fat-tree plans.
+    /// hardware are lost and counted. Panics on any topology but a fat
+    /// tree.
     pub fn kill_spine(&self, spine: usize) {
-        let s = self.switched_rc();
+        let this = &self.inner;
         assert!(
-            matches!(s.cfg.topology, Topology::FatTree { .. }),
+            matches!(this.cfg.topology, Topology::FatTree { .. }),
             "kill_spine requires a fat tree"
         );
-        assert!(spine < s.plan.spines(), "spine {spine} out of range");
-        Switched::kill_spine(s, spine);
+        assert!(spine < this.routes().spines(), "spine {spine} out of range");
+        Inner::kill_spine(this, spine);
     }
 
     /// Force (`on = true`) or release pause on a switch port regardless
     /// of its occupancy — the injector behind pause-storm and
-    /// cyclic-buffer-dependency wedges. No-op when PFC is disabled;
-    /// panics on the full mesh (see [`Network::port_queued_bytes`]).
+    /// cyclic-buffer-dependency wedges. No-op when PFC is disabled (as
+    /// it always is on the full mesh).
     pub fn force_pause(&self, port: usize, on: bool) {
-        Switched::force_pause(self.switched_rc(), port, on);
+        Inner::force_pause(&self.inner, port, on);
     }
 
     /// PFC no-progress watchdog (SONiC-style): break every port that has
     /// been continuously asserting pause for at least `stuck_for`,
     /// forcibly releasing it so the fabric makes progress again. Returns
     /// the number of ports broken — the deadlock detection counter.
-    /// Always 0 on the full mesh or with PFC off.
+    /// Always 0 with PFC off.
     pub fn pfc_watchdog_scan(&self, stuck_for: SimDuration) -> u64 {
-        match &self.kind {
-            Kind::Mesh(_) => 0,
-            Kind::Switched(s) => Switched::pfc_watchdog_scan(s, stuck_for),
-        }
+        Inner::pfc_watchdog_scan(&self.inner, stuck_for)
     }
 
     /// Frames rerouted around dead spines (0 on the full mesh).
     pub fn fault_reroutes(&self) -> u64 {
-        match &self.kind {
-            Kind::Mesh(_) => 0,
-            Kind::Switched(s) => s.faults.reroutes.get(),
-        }
+        self.inner.faults.reroutes.get()
     }
 
     /// Frames lost to dead hardware: dead ports, downed host links, and
     /// serializer queues stranded by a switch death.
     pub fn fault_dead_drops(&self) -> u64 {
-        match &self.kind {
-            Kind::Mesh(f) => f.link_drops(),
-            Kind::Switched(s) => s.faults.dead_drops.get(),
-        }
-    }
-
-    /// Cumulative pause time billed to one switch port, including an
-    /// episode still open at the current instant — the per-victim
-    /// pause-time counter (panics on the full mesh, see
-    /// [`Network::port_queued_bytes`]). Zero when PFC is off.
-    pub fn port_pause_time(&self, port: usize) -> SimDuration {
-        let s = self.switched();
-        s.pfc.as_ref().map_or(SimDuration::ZERO, |p| {
-            let pp = &p.ports[port];
-            let open = if pp.xoff.get() {
-                s.sim.now().since(pp.pause_since.get())
-            } else {
-                SimDuration::ZERO
-            };
-            pp.pause_total.get() + open
-        })
-    }
-
-    fn switched(&self) -> &Switched<T> {
-        self.switched_rc()
-    }
-
-    fn switched_rc(&self) -> &Rc<Switched<T>> {
-        match &self.kind {
-            Kind::Mesh(_) => panic!("full mesh has no switch ports"),
-            Kind::Switched(s) => s,
-        }
+        self.inner.faults.dead_drops.get()
     }
 }
 
@@ -745,41 +747,59 @@ struct HopState<T> {
     i: u8,
 }
 
-impl<T: 'static> Switched<T> {
-    /// Entry from the NIC: every event the switched fabric schedules from
-    /// here on (per-hop arrivals, serializer completions, pause signals)
-    /// is attributed to the [`Subsystem::SwitchPort`] bucket — the tag is
-    /// captured at schedule time and re-installed when each timer fires,
-    /// so it propagates through chained reschedules without plumbing.
-    fn transmit(this: &Rc<Self>, frame: Frame<T>) {
-        let sim = this.sim.clone();
-        sim.with_tag(Subsystem::SwitchPort, || Self::transmit_inner(this, frame));
-    }
-
-    fn transmit_inner(this: &Rc<Self>, frame: Frame<T>) {
-        let nodes = this.plan.nodes();
-        assert!(frame.src < nodes && frame.dst < nodes);
-        if this.pfc.is_some() {
-            Self::pfc_transmit(this, frame);
+impl<T: 'static> Inner<T> {
+    /// The analytic path (full mesh and lossy switched): the host-link
+    /// fault check, host-egress serialization, then loopback delivery at
+    /// egress-grant end, the mesh's receive wire, or the first switch hop.
+    fn send(this: &Rc<Self>, frame: Frame<T>) {
+        // A downed link at either end loses the frame at transmit time
+        // (loopback is NIC-internal and never touches it); frames already
+        // in flight are past the decision point.
+        let f = &this.faults;
+        if f.active.get()
+            && frame.src != frame.dst
+            && (f.host_down[frame.src].get() || f.host_down[frame.dst].get())
+        {
+            f.dead_drop();
             return;
         }
-        // Lossy path: a downed host link at either end drops the frame at
-        // transmit time (loopback is NIC-internal and never touches it).
-        if this.faults.active.get()
-            && frame.src != frame.dst
-            && (this.faults.host_down[frame.src].get() || this.faults.host_down[frame.dst].get())
-        {
-            this.faults.dead_drop();
-            return;
+        if this.plan.is_none() {
+            this.trace.emit(
+                this.sim.now(),
+                TraceKind::MeshTx {
+                    src: frame.src as u32,
+                    dst: frame.dst as u32,
+                    bytes: frame.wire_bytes as u32,
+                },
+            );
         }
         let ser = transmission_time(frame.wire_bytes as u64, this.host_gbps(frame.src));
         let grant = this.host_egress[frame.src].enqueue(ser);
+        // Each branch boxes the frame once: its event closures then capture
+        // a pointer (small enough for the executor's inline-closure path)
+        // instead of the whole frame.
         if frame.src == frame.dst {
-            // Loopback: NIC-internal path, no switches.
-            let sw = Rc::clone(this);
+            // Loopback: NIC-internal path, no wire, no switches.
+            let net = Rc::clone(this);
             let frame = Box::new(frame);
             this.sim.schedule_at(grant.end, move |_| {
-                let _ = sw.ingress_tx[frame.dst].try_send(*frame);
+                let _ = net.ingress_tx[frame.dst].try_send(*frame);
+            });
+            return;
+        }
+        let extra = this.host_extra(frame.src);
+        if this.plan.is_none() {
+            // The mesh's cut-through receive wire: the first bit lands at
+            // `grant.start + prop`, then the RX wire receives for one
+            // line-rate serialization (ending at `grant.end + prop` when
+            // it is idle); concurrent senders queue there.
+            let first_bit = grant.start + this.prop() + extra;
+            let net = Rc::clone(this);
+            let frame = Box::new(frame);
+            this.sim.schedule_at(first_bit, move |sim| {
+                let ser = transmission_time(frame.wire_bytes as u64, net.spec.gbps);
+                let g = net.rx_wire[frame.dst].enqueue(ser);
+                sim.schedule_at(g.end, move |_| net.deliver(*frame));
             });
             return;
         }
@@ -787,18 +807,33 @@ impl<T: 'static> Switched<T> {
         let Some(hops) = this.fault_route(&frame, &mut path) else {
             return; // no live path: the frame died with the fabric
         };
-        let at = grant.end + this.prop() + this.host_extra(frame.src);
         let st = Box::new(HopState {
             frame,
             path: path.map(|p| p as u32),
             hops: hops as u8,
             i: 0,
         });
-        Self::hop(Rc::clone(this), st, at);
+        Self::hop(Rc::clone(this), st, grant.end + this.prop() + extra);
+    }
+
+    /// Last-hop delivery into `frame.dst`'s ingress channel; a downed
+    /// destination link loses the frame. A dropped receiver means the
+    /// node shut down: the frame is lost, which UD tolerates and RC
+    /// recovers from in higher layers.
+    fn deliver(&self, frame: Frame<T>) {
+        if self.faults.active.get() && self.faults.host_down[frame.dst].get() {
+            self.faults.dead_drop();
+            return;
+        }
+        let _ = self.ingress_tx[frame.dst].try_send(frame);
     }
 
     fn prop(&self) -> SimDuration {
         SimDuration::from_ns_f64(self.spec.propagation_ns)
+    }
+
+    fn routes(&self) -> &RoutePlan {
+        self.plan.as_ref().expect("full mesh has no switch ports")
     }
 
     /// Host-egress line rate, honoring a degraded link. With no fault
@@ -820,6 +855,16 @@ impl<T: 'static> Switched<T> {
         }
     }
 
+    /// Whether switch port `idx` is dead hardware; a frame arriving there
+    /// is lost and counted.
+    fn port_is_dead(&self, idx: usize) -> bool {
+        let dead = self.faults.active.get() && self.faults.port_dead[idx].get();
+        if dead {
+            self.faults.dead_drop();
+        }
+        dead
+    }
+
     /// Route `frame`, honoring the dead-spine mask. `None` means no live
     /// path exists (already counted as lost to dead hardware).
     fn fault_route(
@@ -827,17 +872,20 @@ impl<T: 'static> Switched<T> {
         frame: &Frame<T>,
         path: &mut [usize; RoutePlan::MAX_PATH],
     ) -> Option<usize> {
+        let plan = self.routes();
         let dead = self.faults.dead_spines.get();
-        if self.cfg.routing == Routing::Spray {
-            return self.spray_route(frame, dead, path);
-        }
-        if dead == 0 {
-            return Some(self.plan.route_into(frame.src, frame.dst, frame.flow, path));
-        }
-        match self
-            .plan
-            .route_avoiding(frame.src, frame.dst, frame.flow, dead, path)
-        {
+        let routed = if self.cfg.routing == Routing::Spray {
+            let seq = self.spray_seq.get();
+            self.spray_seq.set(seq.wrapping_add(1));
+            let mut congestion = [0usize; 64];
+            let snapshot = self.spray_congestion(plan, frame, &mut congestion);
+            plan.spray_route_into(frame.src, frame.dst, frame.flow, seq, snapshot, dead, path)
+        } else if dead == 0 {
+            return Some(plan.route_into(frame.src, frame.dst, frame.flow, path));
+        } else {
+            plan.route_avoiding(frame.src, frame.dst, frame.flow, dead, path)
+        };
+        match routed {
             None => {
                 self.faults.dead_drop();
                 None
@@ -851,53 +899,55 @@ impl<T: 'static> Switched<T> {
         }
     }
 
-    /// Per-packet spray routing: snapshot the source leaf's uplink queue
-    /// depths (the congestion signal) and hand the pure policy on
-    /// [`RoutePlan`] the frame key plus this fabric's packet sequence.
-    /// Both serialization paths (analytic and PFC) route here exactly
-    /// once per frame, at fabric entry, so the sequence — and with it the
-    /// whole spray schedule — is deterministic in transmit order.
-    fn spray_route(
+    /// The congestion signal for per-packet spray: the source leaf's
+    /// uplink queue depths, gathered only when the policy actually
+    /// chooses among spines (fat-tree cross-leaf). Both serialization
+    /// paths (analytic and PFC) route exactly once per frame, at fabric
+    /// entry, so the spray sequence — and with it the whole spray
+    /// schedule — is deterministic in transmit order. `dead_spines` caps
+    /// addressable spines at 64, so a stack buffer suffices.
+    fn spray_congestion<'a>(
         &self,
+        plan: &RoutePlan,
         frame: &Frame<T>,
-        dead: u64,
-        path: &mut [usize; RoutePlan::MAX_PATH],
-    ) -> Option<usize> {
-        let seq = self.spray_seq.get();
-        self.spray_seq.set(seq.wrapping_add(1));
-        // Congestion snapshot, gathered only when the policy actually
-        // chooses among spines (fat-tree cross-leaf); `dead_spines` caps
-        // addressable spines at 64, so a stack buffer suffices.
-        let mut congestion = [0usize; 64];
-        let mut snapshot: &[usize] = &[];
-        if let Topology::FatTree { .. } = self.cfg.topology {
-            let spines = self.plan.spines();
-            let ls = self.plan.leaf_of(frame.src);
-            if ls != self.plan.leaf_of(frame.dst) {
-                let now = self.sim.now();
-                for (s, c) in congestion.iter_mut().enumerate().take(spines) {
-                    let p = &self.ports[ls * spines + s];
-                    p.settle(now);
-                    *c = p.queued.get();
-                }
-                snapshot = &congestion[..spines.min(64)];
-            }
+        congestion: &'a mut [usize; 64],
+    ) -> &'a [usize] {
+        let Topology::FatTree { .. } = self.cfg.topology else {
+            return &[];
+        };
+        let spines = plan.spines();
+        let ls = plan.leaf_of(frame.src);
+        if ls == plan.leaf_of(frame.dst) {
+            return &[];
         }
-        match self
-            .plan
-            .spray_route_into(frame.src, frame.dst, frame.flow, seq, snapshot, dead, path)
-        {
-            None => {
-                self.faults.dead_drop();
-                None
-            }
-            Some((hops, rerouted)) => {
-                if rerouted {
-                    self.faults.reroutes.set(self.faults.reroutes.get() + 1);
-                }
-                Some(hops)
-            }
+        let now = self.sim.now();
+        for (s, c) in congestion.iter_mut().enumerate().take(spines) {
+            let p = &self.ports[ls * spines + s];
+            p.settle(now);
+            *c = p.queued.get();
         }
+        &congestion[..spines.min(64)]
+    }
+
+    /// Admit a frame into port `idx`'s buffer: ECN-mark it when the queue
+    /// already holds the threshold (checked before its bytes are added),
+    /// account its bytes, and trace the new depth. Shared by the lossy
+    /// hop and the PFC arrival.
+    fn admit(&self, idx: usize, frame: &mut Frame<T>) {
+        let p = &self.ports[idx];
+        if self.cfg.ecn.enabled && p.queued.get() >= self.cfg.ecn.threshold_bytes {
+            frame.ecn = true;
+            p.marks.set(p.marks.get() + 1);
+        }
+        p.queued.set(p.queued.get() + frame.wire_bytes);
+        p.forwarded.set(p.forwarded.get() + 1);
+        self.trace.emit(
+            self.sim.now(),
+            TraceKind::PortEnqueue {
+                port: idx as u32,
+                queued_bytes: p.queued.get() as u32,
+            },
+        );
     }
 
     /// Process hop `st.i` of the path at time `at`: run the frame through
@@ -907,57 +957,35 @@ impl<T: 'static> Switched<T> {
         let sim = this.sim.clone();
         sim.schedule_at(at, move |sim| {
             let idx = st.path[st.i as usize] as usize;
-            if this.faults.active.get() && this.faults.port_dead[idx].get() {
-                this.faults.dead_drop();
-                return; // the frame arrived at a dead port
+            if this.port_is_dead(idx) {
+                return;
             }
             let wire = st.frame.wire_bytes;
-            let grant_end = {
-                let p = &this.ports[idx];
-                // Retire frames that finished serializing before this
-                // arrival — the lazy equivalent of per-frame drain timers.
-                p.settle(sim.now());
-                if p.queued.get() + wire > this.cfg.buffer_bytes {
-                    p.drops.set(p.drops.get() + 1);
-                    this.trace.emit(
-                        sim.now(),
-                        TraceKind::PortDrop {
-                            port: idx as u32,
-                            bytes: wire as u32,
-                        },
-                    );
-                    return; // tail drop
-                }
-                if this.cfg.ecn.enabled && p.queued.get() >= this.cfg.ecn.threshold_bytes {
-                    st.frame.ecn = true;
-                    p.marks.set(p.marks.get() + 1);
-                }
-                p.queued.set(p.queued.get() + wire);
-                p.forwarded.set(p.forwarded.get() + 1);
+            let p = &this.ports[idx];
+            // Retire frames that finished serializing before this
+            // arrival — the lazy equivalent of per-frame drain timers.
+            p.settle(sim.now());
+            if p.queued.get() + wire > this.cfg.buffer_bytes {
+                p.drops.set(p.drops.get() + 1);
                 this.trace.emit(
                     sim.now(),
-                    TraceKind::PortEnqueue {
+                    TraceKind::PortDrop {
                         port: idx as u32,
-                        queued_bytes: p.queued.get() as u32,
+                        bytes: wire as u32,
                     },
                 );
-                let g = p.fifo.enqueue(transmission_time(wire as u64, p.gbps));
-                p.inflight.borrow_mut().push_back((g.end, wire as u32));
-                g.end
-            };
-            let next_at = grant_end + this.prop();
+                return; // tail drop
+            }
+            this.admit(idx, &mut st.frame);
+            let g = p.fifo.enqueue(transmission_time(wire as u64, p.gbps));
+            p.inflight.borrow_mut().push_back((g.end, wire as u32));
+            let next_at = g.end + this.prop();
             if st.i + 1 == st.hops {
                 // Last port is the downlink to the destination host.
-                sim.schedule_at(next_at, move |_| {
-                    if this.faults.active.get() && this.faults.host_down[st.frame.dst].get() {
-                        this.faults.dead_drop();
-                        return;
-                    }
-                    let _ = this.ingress_tx[st.frame.dst].try_send(st.frame);
-                });
+                sim.schedule_at(next_at, move |_| this.deliver(st.frame));
             } else {
                 st.i += 1;
-                Self::hop(Rc::clone(&this), st, next_at);
+                Self::hop(this, st, next_at);
             }
         });
     }
@@ -1052,31 +1080,16 @@ impl<T: 'static> Switched<T> {
     /// ECN-mark, assert XOFF at the watermark, and kick the serializer.
     fn pfc_arrive(this: &Rc<Self>, mut st: Box<HopState<T>>) {
         let idx = st.path[st.i as usize] as usize;
-        if this.faults.active.get() && this.faults.port_dead[idx].get() {
-            // PFC cannot pause a corpse: frames committed to a dead port
-            // are the one loss a lossless fabric admits under faults.
-            this.faults.dead_drop();
+        // PFC cannot pause a corpse: frames committed to a dead port are
+        // the one loss a lossless fabric admits under faults.
+        if this.port_is_dead(idx) {
             return;
         }
-        let wire = st.frame.wire_bytes;
-        let p = &this.ports[idx];
-        // Same marking rule (and check-before-add order) as the analytic
-        // hop; no drop branch — PFC mode is lossless by construction.
-        if this.cfg.ecn.enabled && p.queued.get() >= this.cfg.ecn.threshold_bytes {
-            st.frame.ecn = true;
-            p.marks.set(p.marks.get() + 1);
-        }
-        p.queued.set(p.queued.get() + wire);
-        p.forwarded.set(p.forwarded.get() + 1);
-        this.trace.emit(
-            this.sim.now(),
-            TraceKind::PortEnqueue {
-                port: idx as u32,
-                queued_bytes: p.queued.get() as u32,
-            },
-        );
+        // Same admission as the analytic hop; no drop branch — PFC mode
+        // is lossless by construction.
+        this.admit(idx, &mut st.frame);
         let pp = &this.pfc().ports[idx];
-        if !pp.xoff.get() && p.queued.get() >= this.cfg.pfc.xoff_bytes {
+        if !pp.xoff.get() && this.ports[idx].queued.get() >= this.cfg.pfc.xoff_bytes {
             Self::set_pause(this, idx, true);
         }
         pp.feeder.q.borrow_mut().push_back(st);
@@ -1086,8 +1099,8 @@ impl<T: 'static> Switched<T> {
     /// Flip port `idx`'s local pause state. Accounting (episode count,
     /// pause clock) runs at the local instant — the switch's own view —
     /// while upstream feeders *observe* the transition one propagation
-    /// delay later via [`Switched::pause_signal`], like a real pause
-    /// frame crossing the link (the PR-6 propagation-delay refinement).
+    /// delay later via [`Inner::pause_signal`], like a real pause frame
+    /// crossing the link.
     fn set_pause(this: &Rc<Self>, idx: usize, on: bool) {
         let pp = &this.pfc().ports[idx];
         debug_assert_ne!(pp.xoff.get(), on, "pause transition must flip");
@@ -1193,16 +1206,9 @@ impl<T: 'static> Switched<T> {
             Self::set_pause(this, idx, false);
         }
         let at = this.sim.now() + this.prop();
-        let last = st.i + 1 == st.hops;
         let sw = Rc::clone(this);
-        if last {
-            this.sim.schedule_at(at, move |_| {
-                if sw.faults.active.get() && sw.faults.host_down[st.frame.dst].get() {
-                    sw.faults.dead_drop();
-                    return;
-                }
-                let _ = sw.ingress_tx[st.frame.dst].try_send(st.frame);
-            });
+        if st.i + 1 == st.hops {
+            this.sim.schedule_at(at, move |_| sw.deliver(st.frame));
         } else {
             st.i += 1;
             this.sim.schedule_at(at, move |_| Self::pfc_arrive(&sw, st));
@@ -1211,15 +1217,6 @@ impl<T: 'static> Switched<T> {
     }
 
     // ===================== fault plane internals =====================
-
-    fn set_host_link_down(this: &Rc<Self>, node: usize, down: bool) {
-        this.faults.active.set(true);
-        this.faults.host_down[node].set(down);
-        if !down && this.pfc.is_some() {
-            // Link restored: resume the frames that waited out the flap.
-            Self::pfc_kick_host(this, node);
-        }
-    }
 
     /// Switch death: mark every port on `spine` (downlinks and the leaf
     /// uplinks wired to it) dead, flush stranded serializer queues, and —
@@ -1230,8 +1227,9 @@ impl<T: 'static> Switched<T> {
         let f = &this.faults;
         f.active.set(true);
         f.dead_spines.set(f.dead_spines.get() | 1 << spine);
-        for idx in 0..this.plan.num_ports() {
-            let on_spine = match this.plan.port_kind(idx) {
+        let plan = this.routes();
+        for idx in 0..plan.num_ports() {
+            let on_spine = match plan.port_kind(idx) {
                 PortKind::LeafUp { spine: s, .. } | PortKind::SpineDown { spine: s, .. } => {
                     s == spine
                 }

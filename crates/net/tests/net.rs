@@ -1,13 +1,14 @@
-//! Integration tests for the switched network: hop-by-hop timing, buffer
-//! occupancy accounting, ECN marking, tail drop, incast behavior, and PFC
-//! pause-frame semantics (watermark hysteresis, upstream parking,
-//! head-of-line blocking, losslessness).
+//! Integration tests for the network: the full mesh's wire timing (egress
+//! and receive-wire serialization, loopback, full duplex, link faults,
+//! inert switch-port knobs), and on switched topologies hop-by-hop
+//! timing, buffer occupancy accounting, ECN marking, tail drop, incast
+//! behavior, and PFC pause-frame semantics (watermark hysteresis,
+//! upstream parking, head-of-line blocking, losslessness).
 
-use cord_net::{EcnConfig, NetConfig, Network, PfcConfig, PortKind, Topology};
+use cord_net::{EcnConfig, Frame, NetConfig, Network, PfcConfig, PortKind, Routing, Topology};
 use cord_sim::sync::Receiver;
 use cord_sim::{Sim, SimDuration};
 
-use cord_hw::link::Frame;
 use cord_hw::machine::LinkSpec;
 
 fn spec() -> LinkSpec {
@@ -32,24 +33,225 @@ fn build(sim: &Sim, nodes: usize, cfg: NetConfig) -> (Network<u32>, Vec<Receiver
     Network::new(sim, spec(), nodes, cfg)
 }
 
+// ---- The full mesh: the switchless topology every paper figure runs on ----
+
+/// A full mesh of `nodes` nodes with the default knobs.
+fn mesh(sim: &Sim, nodes: usize) -> (Network<u32>, Vec<Receiver<Frame<u32>>>) {
+    build(sim, nodes, NetConfig::default())
+}
+
 #[test]
 fn full_mesh_matches_ideal_fabric_timing() {
     let sim = Sim::new();
-    let (net, mut rx) = build(&sim, 2, NetConfig::default());
+    let (net, mut rx) = mesh(&sim, 2);
     assert!(net.plan().is_none());
     let rx1 = rx.remove(1);
     let t = sim.block_on({
         let sim = sim.clone();
         async move {
             net.transmit(frame(0, 1, 1000, 7, 1));
-            rx1.recv().await.unwrap();
+            let f = rx1.recv().await.unwrap();
+            assert_eq!(f.payload, 1);
+            assert!(!f.ecn);
             assert_eq!(net.total_marks(), 0);
             assert_eq!(net.total_drops(), 0);
             sim.now()
         }
     });
-    // 1000 B * 80 ps + 200 ns — identical to cord-hw's mesh.
+    // 1000 B * 80 ps + 200 ns: serialization plus propagation.
     assert_eq!(t.as_ns_f64(), 280.0);
+}
+
+#[test]
+fn egress_serializes_back_to_back_frames() {
+    let sim = Sim::new();
+    let (net, mut rx) = mesh(&sim, 2);
+    let rx1 = rx.remove(1);
+    let times = sim.block_on({
+        let sim = sim.clone();
+        async move {
+            for i in 0..3 {
+                net.transmit(frame(0, 1, 1250, 0, i)); // 100 ns each
+            }
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                let f = rx1.recv().await.unwrap();
+                out.push((f.payload, sim.now().as_ns_f64()));
+            }
+            out
+        }
+    });
+    assert_eq!(times, [(0, 300.0), (1, 400.0), (2, 500.0)]);
+}
+
+#[test]
+fn loopback_skips_propagation() {
+    let sim = Sim::new();
+    let (net, mut rx) = mesh(&sim, 2);
+    let rx0 = rx.remove(0);
+    let t = sim.block_on({
+        let sim = sim.clone();
+        async move {
+            net.transmit(frame(0, 0, 1250, 0, 1));
+            rx0.recv().await.unwrap();
+            sim.now()
+        }
+    });
+    assert_eq!(t.as_ns_f64(), 100.0);
+}
+
+#[test]
+fn opposite_directions_do_not_contend() {
+    let sim = Sim::new();
+    let (net, mut rx) = mesh(&sim, 2);
+    let rx1 = rx.remove(1);
+    let rx0 = rx.remove(0);
+    let t = sim.block_on({
+        let sim = sim.clone();
+        async move {
+            net.transmit(frame(0, 1, 1250, 0, 1));
+            net.transmit(frame(1, 0, 1250, 0, 2));
+            rx1.recv().await.unwrap();
+            let t1 = sim.now();
+            rx0.recv().await.unwrap();
+            (t1, sim.now())
+        }
+    });
+    // Full duplex: both arrive at 300 ns.
+    assert_eq!(t.0.as_ns_f64(), 300.0);
+    assert_eq!(t.1.as_ns_f64(), 300.0);
+}
+
+#[test]
+fn link_faults_drop_degrade_and_restore() {
+    let sim = Sim::new();
+    let (net, mut rx) = mesh(&sim, 3);
+    let rx1 = rx.remove(1);
+    sim.block_on({
+        let sim = sim.clone();
+        async move {
+            // Down: frames touching the link die at transmit, both
+            // directions, and are counted.
+            net.set_host_link_down(2, true);
+            net.transmit(frame(2, 1, 1250, 0, 0));
+            net.transmit(frame(1, 2, 1250, 0, 1));
+            sim.sleep(SimDuration::from_us(1)).await;
+            assert!(rx1.try_recv().is_none());
+            assert_eq!(net.fault_dead_drops(), 2);
+            // Restore: timing matches the healthy link exactly.
+            net.set_host_link_down(2, false);
+            let t0 = sim.now();
+            net.transmit(frame(2, 1, 1250, 0, 2));
+            assert_eq!(rx1.recv().await.unwrap().payload, 2);
+            assert_eq!(sim.now().since(t0).as_ns_f64(), 300.0);
+            // Degrade node 2 to quarter rate with 100 ns extra: the
+            // first frame pays the added latency; the second also waits
+            // out the slowed 400 ns egress serialization.
+            net.set_host_link_degrade(2, 0.25, 100.0);
+            let t0 = sim.now();
+            net.transmit(frame(2, 1, 1250, 0, 3));
+            net.transmit(frame(2, 1, 1250, 0, 4));
+            assert_eq!(rx1.recv().await.unwrap().payload, 3);
+            assert_eq!(sim.now().since(t0).as_ns_f64(), 400.0);
+            assert_eq!(rx1.recv().await.unwrap().payload, 4);
+            assert_eq!(sim.now().since(t0).as_ns_f64(), 800.0);
+            // Full restore: back to the healthy 300 ns.
+            net.set_host_link_degrade(2, 1.0, 0.0);
+            let t0 = sim.now();
+            net.transmit(frame(2, 1, 1250, 0, 5));
+            assert_eq!(rx1.recv().await.unwrap().payload, 5);
+            assert_eq!(sim.now().since(t0).as_ns_f64(), 300.0);
+        }
+    });
+}
+
+#[test]
+fn receiver_ingress_serializes_concurrent_senders() {
+    // N senders fire one frame each at t=0 toward node 0. Their egress
+    // ports are all idle, but node 0's RX wire receives one frame at a
+    // time, so the last arrival grows linearly with fan-in.
+    fn last_arrival(fan_in: usize) -> f64 {
+        let sim = Sim::new();
+        let (net, mut rx) = mesh(&sim, fan_in + 1);
+        let rx0 = rx.remove(0);
+        sim.block_on({
+            let sim = sim.clone();
+            async move {
+                for s in 1..=fan_in {
+                    net.transmit(frame(s, 0, 1250, 0, s as u32)); // 100 ns
+                }
+                for _ in 0..fan_in {
+                    rx0.recv().await.unwrap();
+                }
+                sim.now().as_ns_f64()
+            }
+        })
+    }
+    // First frame lands at 300 ns; each extra sender adds one 100 ns
+    // serialization on the shared ingress wire.
+    assert_eq!(last_arrival(1), 300.0);
+    assert_eq!(last_arrival(2), 400.0);
+    assert_eq!(last_arrival(8), 1000.0);
+    assert!(last_arrival(16) > last_arrival(8));
+}
+
+#[test]
+fn switch_port_knobs_are_inert_on_the_full_mesh() {
+    // Every arrival (payload, instant) of a mixed pattern: back-to-back
+    // frames, a three-way incast onto node 0, and a loopback.
+    fn arrivals(cfg: NetConfig) -> Vec<(u32, u64)> {
+        let sim = Sim::new();
+        let (net, rx) = build(&sim, 4, cfg);
+        assert!(!net.pfc_enabled());
+        assert_eq!(net.routing(), Routing::Ecmp);
+        // One receiver task per node, so each arrival is stamped when it
+        // lands rather than when the test gets round to it.
+        let receivers: Vec<_> = rx
+            .into_iter()
+            .zip([4, 0, 1, 1])
+            .map(|(rx, expect)| {
+                let s = sim.clone();
+                sim.spawn(async move {
+                    let mut got = Vec::new();
+                    for _ in 0..expect {
+                        let f = rx.recv().await.unwrap();
+                        assert!(!f.ecn, "no switch queue to mark on the mesh");
+                        got.push((f.payload, s.now().as_ps()));
+                    }
+                    got
+                })
+            })
+            .collect();
+        sim.block_on({
+            let sim = sim.clone();
+            async move {
+                for (i, (src, dst)) in [(1, 0), (1, 0), (2, 0), (3, 0), (2, 2), (0, 3)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    net.transmit(frame(src, dst, 1250, i as u64, i as u32));
+                }
+                let mut out = Vec::new();
+                for r in receivers {
+                    out.extend(r.await);
+                }
+                sim.sleep(SimDuration::from_us(5)).await;
+                assert_eq!(net.total_marks(), 0);
+                assert_eq!(net.total_drops(), 0);
+                assert_eq!(net.total_pauses(), 0);
+                assert_eq!(net.total_pause_time(), SimDuration::ZERO);
+                out
+            }
+        })
+    }
+    let mut knobs = NetConfig::default();
+    knobs.pfc.enabled = true;
+    knobs.routing = Routing::Spray;
+    knobs.ecn.threshold_bytes = 0;
+    knobs.buffer_bytes = 1;
+    let healthy = arrivals(NetConfig::default());
+    assert_eq!(healthy.len(), 6);
+    assert_eq!(arrivals(knobs), healthy);
 }
 
 #[test]

@@ -22,10 +22,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use cord_hw::link::Frame;
 use cord_hw::PayloadSeg;
 use cord_hw::{DmaDir, DmaEngine, MachineSpec};
-use cord_net::Network;
+use cord_net::{Frame, Network};
 use cord_sim::sync::{Notify, Receiver, Semaphore};
 use cord_sim::{FifoResource, Sim, SimDuration, SimTime, Subsystem, Trace, TraceKind};
 

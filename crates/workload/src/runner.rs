@@ -8,7 +8,7 @@ use cord_chaos::ChaosPlane;
 use cord_core::Fabric;
 use cord_kern::{QosPolicy, QuotaPolicy, RateLimitPolicy};
 use cord_mpi::{create_world, MpiTransport};
-use cord_net::{NetConfig, Topology};
+use cord_net::NetConfig;
 use cord_nic::{CcAlgorithm, RetxConfig, Transport};
 use cord_sim::{SimDuration, TraceEvent};
 
@@ -83,9 +83,9 @@ pub fn run_scenario_full(spec: &ScenarioSpec, opts: RunOptions) -> Result<RunOut
         net.buffer_bytes = bytes;
     }
     net.routing = spec.routing;
-    // PFC pauses switch ports; the full mesh has none, so there the knob
-    // is accepted but inert (mirroring DCQCN on UD transports).
-    net.pfc.enabled = spec.pfc && spec.topology != Topology::FullMesh;
+    // PFC pauses switch ports; the full mesh has none, so there the
+    // network leaves the knob inert (mirroring DCQCN on UD transports).
+    net.pfc.enabled = spec.pfc;
     let mut builder = Fabric::builder(machine).seed(spec.seed).net(net);
     if let Some(cap) = opts.trace_capacity {
         builder = builder.trace(cap);
