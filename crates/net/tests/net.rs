@@ -50,11 +50,28 @@ fn full_mesh_matches_ideal_fabric_timing() {
         let sim = sim.clone();
         async move {
             net.transmit(frame(0, 1, 1000, 7, 1));
-            let f = rx1.recv().await.unwrap();
-            assert_eq!(f.payload, 1);
-            assert!(!f.ecn);
+            rx1.recv().await.unwrap();
             assert_eq!(net.total_marks(), 0);
             assert_eq!(net.total_drops(), 0);
+            sim.now()
+        }
+    });
+    // 1000 B * 80 ps + 200 ns, as on an ideal fabric.
+    assert_eq!(t.as_ns_f64(), 280.0);
+}
+
+#[test]
+fn frame_arrives_after_serialization_and_propagation() {
+    let sim = Sim::new();
+    let (net, mut rx) = mesh(&sim, 2);
+    let rx1 = rx.remove(1);
+    let t = sim.block_on({
+        let sim = sim.clone();
+        async move {
+            net.transmit(frame(0, 1, 1000, 0, 7));
+            let f = rx1.recv().await.unwrap();
+            assert_eq!(f.payload, 7);
+            assert!(!f.ecn);
             sim.now()
         }
     });
